@@ -3,17 +3,11 @@
 //! Each figure has a binary (`cargo run --release -p rhmd-bench --bin
 //! fig08_least_weight`, etc.) that prints the regenerated rows;
 //! `repro_all` runs the whole evaluation and writes a combined report.
-//! Criterion benches (in `benches/`) cover the performance of the
-//! substrate itself: feature extraction, simulation, training, inference,
-//! injection and RHMD switching.
+//! `bench_par` measures the substrate itself (trace pipeline, scoring
+//! kernels, corpus store) and `loadgen` the resident service.
 //!
 //! Scale is selected with `RHMD_SCALE` (`tiny` | `small` | `standard` |
 //! `paper`); experiments default to `standard`.
-
-// Durable I/O and checkpoint journals moved to `rhmd-runtime` so the corpus
-// store (`rhmd_data::store`) can write shards through the same plane; the
-// historical `rhmd_bench::durable` / `rhmd_bench::ckpt` paths keep working.
-pub use rhmd_runtime::{ckpt, durable};
 
 pub mod context;
 pub mod figures;

@@ -4,14 +4,19 @@
 
 use crate::hmd::{BlackBox, Hmd, ProgramVerdict};
 use rhmd_data::{parallel_map, TracedCorpus};
+use rhmd_features::stream::collect_subwindows;
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
-use rhmd_features::window::MEM_BINS;
+use rhmd_features::window::{RawWindow, MEM_BINS};
 use rhmd_ml::linear::LogisticRegression;
 use rhmd_ml::mlp::Mlp;
 use rhmd_ml::svm::LinearSvm;
-use rhmd_trace::inject::{apply, InjectionPlan, Placement};
+use rhmd_trace::exec::{ExecLimits, ExecSummary};
+use rhmd_trace::inject::{apply, InjectionPlan, Placement, StaticOverhead};
 use rhmd_trace::isa::Opcode;
 use rhmd_trace::Program;
+use rhmd_uarch::events::CounterSet;
+use rhmd_uarch::timing::TimingModel;
+use rhmd_uarch::CoreConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -290,25 +295,42 @@ pub struct OverheadReport {
 pub fn measure_overhead(
     program: &Program,
     plan: &InjectionPlan,
-    limits: rhmd_trace::exec::ExecLimits,
+    limits: ExecLimits,
 ) -> OverheadReport {
     let (modified, static_overhead) = apply(program, plan);
     let budget = limits.max_instructions.min(1 << 40);
-    let bounded = rhmd_trace::exec::ExecLimits::original_instructions(budget);
+    let bounded = ExecLimits::original_instructions(budget);
 
+    // Whole-run counters are the sum of the subwindow drains (integer adds).
     let run = |p: &Program| {
-        let mut core = rhmd_uarch::CoreModel::new(rhmd_uarch::CoreConfig::default());
-        let summary = p.execute(bounded, &mut core);
-        (summary, core.drain_counters())
+        let (windows, summary) = collect_subwindows(p, bounded, CoreConfig::default());
+        let mut counters = CounterSet::default();
+        for w in &windows {
+            counters += w.counters;
+        }
+        (summary, counters)
     };
     let (_, base_counters) = run(program);
     let (summary, mod_counters) = run(&modified);
-    let timing = rhmd_uarch::timing::TimingModel::default();
     OverheadReport {
         static_overhead: static_overhead.ratio(),
         dynamic_overhead: summary.dynamic_overhead(),
-        time_overhead: timing.time_overhead(&base_counters, &mod_counters),
+        time_overhead: TimingModel::default().time_overhead(&base_counters, &mod_counters),
     }
+}
+
+/// Rewrites `program` with `plan` and re-traces it with `traced`'s limits
+/// and core, the instruction budget scaled by the plan's static inflation
+/// (plus 5% slack) so the malware still executes (at least) its original
+/// workload.
+pub(crate) fn trace_rewritten(
+    traced: &TracedCorpus,
+    program: &Program,
+    plan: &InjectionPlan,
+) -> (Vec<RawWindow>, ExecSummary, StaticOverhead) {
+    let (modified, overhead) = apply(program, plan);
+    let (subwindows, summary) = traced.trace_program(&modified, 1.05 + overhead.ratio());
+    (subwindows, summary, overhead)
 }
 
 /// Outcome of an evasion campaign over the initially-detected malware.
@@ -370,32 +392,19 @@ pub fn evade_corpus(
 
     // 2. Rewrite and re-trace them (parallel: tracing dominates).
     let programs: Vec<&Program> = detected.iter().map(|&i| traced.corpus().program(i)).collect();
-    let rewritten = parallel_map(&programs, |p| {
-        let (modified, static_overhead) = apply(p, plan);
-        let factor = 1.05 + static_overhead.ratio();
-        let mut sink = rhmd_trace::exec::CountingSink::default();
-        let limits = rhmd_trace::exec::ExecLimits {
-            max_instructions: (traced.limits().max_instructions as f64 * factor) as u64,
-            ..traced.limits()
-        };
-        let mut acc = rhmd_features::window::WindowAccumulator::new(
-            rhmd_uarch::CoreModel::new(traced.core_config()),
-        );
-        let summary = modified.execute_observed(limits, &mut [&mut acc, &mut sink]);
-        (acc.finish(), static_overhead.ratio(), summary.dynamic_overhead())
-    });
+    let rewritten = parallel_map(&programs, |p| trace_rewritten(traced, p, plan));
 
     // 3. Re-query the victim.
     let mut detected_after = 0usize;
     let mut static_sum = 0.0;
     let mut dynamic_sum = 0.0;
-    for (subs, st, dy) in &rewritten {
+    for (subs, summary, overhead) in &rewritten {
         let stream = victim.label_subwindows(subs);
         if ProgramVerdict::from_decisions(&stream).is_malware() {
             detected_after += 1;
         }
-        static_sum += st;
-        dynamic_sum += dy;
+        static_sum += overhead.ratio();
+        dynamic_sum += summary.dynamic_overhead();
     }
     let n = rewritten.len() as f64;
     EvasionTrial {
@@ -411,7 +420,6 @@ mod tests {
     use super::*;
     use rhmd_data::{Corpus, CorpusConfig, Splits};
     use rhmd_ml::trainer::{Algorithm, TrainerConfig};
-    use rhmd_uarch::CoreConfig;
 
     fn fixture() -> (TracedCorpus, Splits, Vec<Opcode>) {
         let config = CorpusConfig::tiny();
@@ -570,6 +578,61 @@ mod tests {
              random {random_rate}, targeted {}",
             targeted.detection_rate()
         );
+    }
+
+    /// `measure_overhead` on the batched engine reproduces the frozen
+    /// oracle to the bit: counters summed over `trace_subwindows_reference`
+    /// and the reference interpreter's summary, at block and function level.
+    #[test]
+    fn overhead_matches_frozen_reference() {
+        use rhmd_features::pipeline::trace_subwindows_reference;
+        use rhmd_trace::exec::{CountingSink, Executor};
+        use rhmd_trace::generate::{malware_profile, MalwareFamily, ProgramGenerator};
+
+        let program = ProgramGenerator::new(malware_profile(MalwareFamily::Spambot)).generate(4);
+        let limits = ExecLimits::instructions(30_000);
+        let bounded = ExecLimits::original_instructions(limits.max_instructions);
+        let injectable: Vec<Opcode> = Opcode::ALL
+            .iter()
+            .copied()
+            .filter(|op| op.is_injectable())
+            .collect();
+        for plan in [
+            InjectionPlan::new(vec![Opcode::Load, Opcode::Fpu], Placement::EveryBlock)
+                .with_mem_delta(256),
+            InjectionPlan::new(vec![Opcode::Store; 3], Placement::BeforeReturn).with_mem_delta(8),
+            InjectionPlan::random(injectable, 2, Placement::EveryBlock, 9),
+        ] {
+            let got = measure_overhead(&program, &plan, limits);
+
+            let (modified, static_overhead) = apply(&program, &plan);
+            let counters = |p: &Program| {
+                let mut sum = CounterSet::default();
+                for w in trace_subwindows_reference(p, bounded, CoreConfig::default()) {
+                    sum += w.counters;
+                }
+                sum
+            };
+            let summary =
+                Executor::new(&modified, bounded).run_reference(&mut CountingSink::default());
+            let want = OverheadReport {
+                static_overhead: static_overhead.ratio(),
+                dynamic_overhead: summary.dynamic_overhead(),
+                time_overhead: TimingModel::default()
+                    .time_overhead(&counters(&program), &counters(&modified)),
+            };
+            assert!(
+                want.dynamic_overhead > 0.0 && want.time_overhead != 0.0,
+                "{plan:?} {want:?}"
+            );
+            for (g, w) in [
+                (got.static_overhead, want.static_overhead),
+                (got.dynamic_overhead, want.dynamic_overhead),
+                (got.time_overhead, want.time_overhead),
+            ] {
+                assert_eq!(g.to_bits(), w.to_bits(), "{plan:?}: {got:?} vs {want:?}");
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   current and previous evasive malware.
 
 use crate::error::RhmdError;
-use crate::evasion::{plan_evasion, EvasionConfig};
+use crate::evasion::{plan_evasion, trace_rewritten, EvasionConfig};
 use crate::hmd::{BlackBox, Hmd, ProgramVerdict};
 use crate::reveng;
 use rhmd_data::{parallel_map, TracedCorpus};
@@ -18,7 +18,7 @@ use rhmd_features::vector::FeatureSpec;
 use rhmd_features::window::RawWindow;
 use rhmd_ml::model::Dataset;
 use rhmd_ml::trainer::{Algorithm, TrainerConfig};
-use rhmd_trace::inject::{apply, InjectionPlan};
+use rhmd_trace::inject::InjectionPlan;
 use rhmd_trace::Program;
 use serde::{Deserialize, Serialize};
 
@@ -30,10 +30,7 @@ pub fn trace_evasive_variants(
     plan: &InjectionPlan,
 ) -> Vec<Vec<RawWindow>> {
     let programs: Vec<&Program> = indices.iter().map(|&i| traced.corpus().program(i)).collect();
-    parallel_map(&programs, |p| {
-        let (modified, overhead) = apply(p, plan);
-        traced.trace_program(&modified, 1.05 + overhead.ratio())
-    })
+    parallel_map(&programs, |p| trace_rewritten(traced, p, plan).0)
 }
 
 /// Builds a retraining dataset where `fraction` of the malware windows are

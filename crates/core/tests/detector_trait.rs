@@ -91,7 +91,6 @@ fn ensemble_trait_object_matches_inherent_methods() {
 }
 
 #[test]
-#[allow(deprecated)] // exercises the one-release compatibility forwarders
 fn resilient_trait_object_matches_seeded_and_serial_walks() {
     let (traced, splits) = fixture();
     for seed in SEEDS {
@@ -115,21 +114,6 @@ fn resilient_trait_object_matches_seeded_and_serial_walks() {
             pool.reset();
             let serial = BlackBox::label_subwindows(&mut pool, subs);
             let boxed: &dyn Detector = &pool;
-            // Trait path == deprecated seeded forwarders, any stream seed.
-            for stream_seed in SEEDS {
-                assert_eq!(
-                    boxed.label_stream(subs, &mut StreamRng::from_seed(stream_seed)),
-                    pool.label_subwindows_seeded(subs, stream_seed)
-                );
-                assert_eq!(
-                    boxed.epoch_decisions(subs, &mut StreamRng::from_seed(stream_seed)),
-                    pool.decisions_seeded(subs, stream_seed)
-                );
-                assert_eq!(
-                    boxed.quorum(subs, 1.0, &mut StreamRng::from_seed(stream_seed)),
-                    pool.quorum_verdict_seeded(subs, 1.0, stream_seed)
-                );
-            }
             // Trait path == the legacy stateful walk.
             assert_eq!(
                 boxed.label_stream(subs, &mut StreamRng::from_seed(seed)),

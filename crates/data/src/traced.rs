@@ -8,10 +8,11 @@
 
 use crate::corpus::Corpus;
 use rhmd_features::pipeline::{project_windows_into, trace_subwindows};
+use rhmd_features::stream::collect_subwindows;
 use rhmd_features::vector::FeatureSpec;
 use rhmd_features::window::RawWindow;
 use rhmd_ml::model::Dataset;
-use rhmd_trace::exec::ExecLimits;
+use rhmd_trace::exec::{ExecLimits, ExecSummary};
 use rhmd_trace::Program;
 use rhmd_uarch::CoreConfig;
 use std::fmt;
@@ -172,13 +173,18 @@ impl TracedCorpus {
     /// Traces a standalone program (e.g. an injected variant) with this
     /// corpus's limits and core configuration, scaling the instruction
     /// budget by `budget_factor` so payload-inflated programs still cover
-    /// their original behaviour.
-    pub fn trace_program(&self, program: &Program, budget_factor: f64) -> Vec<RawWindow> {
+    /// their original behaviour. Returns the subwindows plus the execution
+    /// summary.
+    pub fn trace_program(
+        &self,
+        program: &Program,
+        budget_factor: f64,
+    ) -> (Vec<RawWindow>, ExecSummary) {
         let limits = ExecLimits {
             max_instructions: (self.limits.max_instructions as f64 * budget_factor) as u64,
             ..self.limits
         };
-        trace_subwindows(program, limits, self.core_config)
+        collect_subwindows(program, limits, self.core_config)
     }
 }
 

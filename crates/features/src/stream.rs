@@ -22,10 +22,17 @@
 //! * each stream lane replays [`crate::window::apply_faults`] +
 //!   [`crate::window::aggregate_with_gaps`] + projection incrementally with
 //!   the same channel order, pending-merge, and trailing-chunk semantics.
+//!
+//! Raw subwindows are one more output of the same stream
+//! ([`collect_subwindows_flat`]), so every feature-producing trace — corpus
+//! tracing, the store builder, evasion re-tracing — runs on this one
+//! engine. The per-event [`crate::window::WindowAccumulator`] survives only
+//! as the frozen oracle behind
+//! [`crate::pipeline::trace_subwindows_reference`].
 
 use crate::vector::FeatureSpec;
 use crate::window::{delta_bin, RawWindow, SUBWINDOW};
-use rhmd_trace::exec::{ExecEvent, ExecLimits, ExecSummary, Observer};
+use rhmd_trace::exec::{ExecEvent, ExecLimits, ExecSummary};
 use rhmd_trace::flat::{BatchSink, FlatInstr, FlatProgram};
 use rhmd_trace::isa::{INSTR_BYTES, OPCODE_COUNT};
 use rhmd_trace::Program;
@@ -33,28 +40,9 @@ use rhmd_uarch::events::COUNTER_DIMS;
 use rhmd_uarch::faults::FaultModel;
 use rhmd_uarch::{CoreConfig, CoreModel, DataMemo};
 
-/// Receiver of sealed subwindows emitted by a [`SubwindowCursor`].
-trait SubwindowSink {
-    fn subwindow(&mut self, window: RawWindow);
-}
-
-impl SubwindowSink for Vec<RawWindow> {
-    fn subwindow(&mut self, window: RawWindow) {
-        self.push(window);
-    }
-}
-
-impl SubwindowSink for Vec<StreamLane<'_>> {
-    fn subwindow(&mut self, window: RawWindow) {
-        for lane in self.iter_mut() {
-            lane.push(&window);
-        }
-    }
-}
-
 /// Drives a [`CoreModel`] over the batched instruction stream and slices it
-/// into [`SUBWINDOW`]-sized [`RawWindow`]s — the streaming replacement for
-/// [`crate::window::WindowAccumulator`].
+/// into [`SUBWINDOW`]-sized [`RawWindow`]s, handing each sealed one to the
+/// stream's [`Outputs`].
 #[derive(Debug)]
 struct SubwindowCursor {
     core: CoreModel,
@@ -88,7 +76,7 @@ impl SubwindowCursor {
     /// line/page boundary (keeping L2 access order identical to the
     /// per-event path) or a subwindow seal (keeping miss attribution in the
     /// right window), then advances the core in bulk per sub-run.
-    fn body_run(&mut self, pc: u64, instrs: &[FlatInstr], addrs: &[u64], sink: &mut dyn SubwindowSink) {
+    fn body_run(&mut self, pc: u64, instrs: &[FlatInstr], addrs: &[u64], out: &mut Outputs) {
         let mut i = 0usize;
         let mut pc = pc;
         while i < instrs.len() {
@@ -131,7 +119,7 @@ impl SubwindowCursor {
             self.core.add_instructions(run as u64);
             self.current.instructions += run as u64;
             if self.current.instructions == u64::from(SUBWINDOW) {
-                self.seal(sink);
+                self.seal(out);
             }
             i += run;
             pc += run as u64 * INSTR_BYTES;
@@ -139,7 +127,7 @@ impl SubwindowCursor {
     }
 
     /// Processes one terminator event on the memoized core paths.
-    fn terminator(&mut self, ev: &ExecEvent, sink: &mut dyn SubwindowSink) {
+    fn terminator(&mut self, ev: &ExecEvent, out: &mut Outputs) {
         self.core.fetch_one(ev.pc);
         if let Some(branch) = ev.branch {
             self.core.branch_event(ev.pc, &branch);
@@ -151,40 +139,17 @@ impl SubwindowCursor {
         self.current.instructions += 1;
         self.current.opcode_counts[ev.opcode.index()] += 1;
         if self.current.instructions == u64::from(SUBWINDOW) {
-            self.seal(sink);
+            self.seal(out);
         }
     }
 
-    /// Processes one event exactly as [`crate::window::WindowAccumulator`]
-    /// does — the per-event observer path.
-    fn event_exact(&mut self, ev: &ExecEvent, sink: &mut dyn SubwindowSink) {
-        self.core.observe(ev);
-        let w = &mut self.current;
-        w.instructions += 1;
-        w.opcode_counts[ev.opcode.index()] += 1;
-        if let Some(mem) = ev.mem {
-            if let Some(prev) = self.last_mem_addr {
-                w.mem_delta_hist[delta_bin(prev, mem.addr)] += 1;
-            }
-            self.last_mem_addr = Some(mem.addr);
-        }
-        if w.instructions == u64::from(SUBWINDOW) {
-            self.seal(sink);
-        }
-    }
-
-    fn seal(&mut self, sink: &mut dyn SubwindowSink) {
+    fn seal(&mut self, out: &mut Outputs) {
         if self.current.instructions > 0 {
             let mut window = std::mem::take(&mut self.current);
             window.counters = self.core.drain_counters();
             self.sealed += 1;
-            sink.subwindow(window);
+            out.subwindow(window);
         }
-    }
-
-    /// Seals the trailing partial subwindow, if non-empty.
-    fn finish(&mut self, sink: &mut dyn SubwindowSink) {
-        self.seal(sink);
     }
 }
 
@@ -349,60 +314,88 @@ pub struct StreamOutcome {
     pub subwindows: u64,
 }
 
-/// The incremental window-extraction observer/batch-sink: one core, many
-/// lanes, rows written straight into caller buffers.
+/// Where a stream's sealed subwindows go: every projection lane, plus the
+/// raw subwindow list when the caller asked for one.
+#[derive(Debug)]
+struct Outputs<'a> {
+    lanes: Vec<StreamLane<'a>>,
+    raw: Option<&'a mut Vec<RawWindow>>,
+}
+
+impl Outputs<'_> {
+    fn subwindow(&mut self, window: RawWindow) {
+        for lane in &mut self.lanes {
+            lane.push(&window);
+        }
+        if let Some(raw) = &mut self.raw {
+            raw.push(window);
+        }
+    }
+}
+
+/// The incremental window-extraction batch sink: one core, many outputs,
+/// rows written straight into caller buffers.
 #[derive(Debug)]
 struct WindowStream<'a> {
     cursor: SubwindowCursor,
-    lanes: Vec<StreamLane<'a>>,
-}
-
-impl<'a> WindowStream<'a> {
-    fn new(config: CoreConfig, lanes: &[LaneSpec<'a>], outs: &'a mut [&mut Vec<f64>]) -> WindowStream<'a> {
-        assert_eq!(
-            lanes.len(),
-            outs.len(),
-            "one output buffer per lane is required"
-        );
-        WindowStream {
-            cursor: SubwindowCursor::new(config),
-            lanes: lanes
-                .iter()
-                .zip(outs.iter_mut())
-                .map(|(lane, out)| StreamLane::new(lane, out))
-                .collect(),
-        }
-    }
-
-    fn finish(mut self, summary: ExecSummary) -> StreamOutcome {
-        self.cursor.finish(&mut self.lanes);
-        for lane in &mut self.lanes {
-            lane.finish();
-        }
-        StreamOutcome {
-            rows: self.lanes.iter().map(|l| l.rows).collect(),
-            summary,
-            subwindows: self.cursor.sealed,
-        }
-    }
+    out: Outputs<'a>,
 }
 
 impl BatchSink for WindowStream<'_> {
     #[inline]
     fn body_run(&mut self, pc: u64, instrs: &[FlatInstr], addrs: &[u64]) {
-        self.cursor.body_run(pc, instrs, addrs, &mut self.lanes);
+        self.cursor.body_run(pc, instrs, addrs, &mut self.out);
     }
 
     #[inline]
     fn terminator(&mut self, ev: &ExecEvent) {
-        self.cursor.terminator(ev, &mut self.lanes);
+        self.cursor.terminator(ev, &mut self.out);
     }
 }
 
-impl Observer for WindowStream<'_> {
-    #[inline]
-    fn observe(&mut self, ev: &ExecEvent) {
-        self.cursor.event_exact(ev, &mut self.lanes);
+/// Executes a pre-lowered program once on the batched path, feeding every
+/// lane and, if given, collecting the raw subwindows — the one driver
+/// behind [`stream_features_flat`] and [`collect_subwindows_flat`].
+fn run_stream<'a>(
+    flat: &FlatProgram,
+    limits: ExecLimits,
+    config: CoreConfig,
+    lanes: &[LaneSpec<'a>],
+    outs: &'a mut [&mut Vec<f64>],
+    raw: Option<&'a mut Vec<RawWindow>>,
+) -> StreamOutcome {
+    assert_eq!(
+        lanes.len(),
+        outs.len(),
+        "one output buffer per lane is required"
+    );
+    rhmd_obs::incr("trace.programs_executed");
+    let _span = rhmd_obs::span("trace.exec");
+    let mut stream = WindowStream {
+        cursor: SubwindowCursor::new(config),
+        out: Outputs {
+            lanes: lanes
+                .iter()
+                .zip(outs.iter_mut())
+                .map(|(lane, out)| StreamLane::new(lane, out))
+                .collect(),
+            raw,
+        },
+    };
+    let summary =
+        rhmd_trace::flat::with_scratch(|scratch| flat.run_batched(limits, &mut stream, scratch));
+    // Seal the trailing partial subwindow, then flush each lane's partial
+    // chunk (matching `chunks()` semantics in the buffered aggregators).
+    stream.cursor.seal(&mut stream.out);
+    for lane in &mut stream.out.lanes {
+        lane.finish();
+    }
+    rhmd_obs::add("trace.instructions", summary.instructions);
+    rhmd_obs::add("trace.windows", stream.cursor.sealed);
+    StreamOutcome {
+        rows: stream.out.lanes.iter().map(|l| l.rows).collect(),
+        summary,
+        subwindows: stream.cursor.sealed,
     }
 }
 
@@ -415,15 +408,7 @@ pub fn stream_features_flat(
     lanes: &[LaneSpec],
     outs: &mut [&mut Vec<f64>],
 ) -> StreamOutcome {
-    rhmd_obs::incr("trace.programs_executed");
-    let _span = rhmd_obs::span("trace.exec");
-    let mut stream = WindowStream::new(config, lanes, outs);
-    let summary =
-        rhmd_trace::flat::with_scratch(|scratch| flat.run_batched(limits, &mut stream, scratch));
-    let outcome = stream.finish(summary);
-    rhmd_obs::add("trace.instructions", summary.instructions);
-    rhmd_obs::add("trace.windows", outcome.subwindows);
-    outcome
+    run_stream(flat, limits, config, lanes, outs, None)
 }
 
 /// [`stream_features_flat`] lowering the program first — the one-shot form.
@@ -437,22 +422,6 @@ pub fn stream_features_into(
     stream_features_flat(&FlatProgram::lower(program), limits, config, lanes, outs)
 }
 
-/// Streaming extraction driven per-event through the [`Observer`] seam
-/// (reference interpreter + incremental lanes). Exists to pin the
-/// observer-path equivalence; the batched drivers above are the hot path.
-pub fn stream_features_observed(
-    program: &Program,
-    limits: ExecLimits,
-    config: CoreConfig,
-    lanes: &[LaneSpec],
-    outs: &mut [&mut Vec<f64>],
-) -> StreamOutcome {
-    let mut stream = WindowStream::new(config, lanes, outs);
-    let summary =
-        rhmd_trace::exec::Executor::new(program, limits).run_reference(&mut stream);
-    stream.finish(summary)
-}
-
 /// Executes a pre-lowered program once on the batched path and returns its
 /// sealed subwindows plus the execution summary — the streaming engine
 /// behind [`crate::pipeline::trace_subwindows`].
@@ -461,33 +430,9 @@ pub fn collect_subwindows_flat(
     limits: ExecLimits,
     config: CoreConfig,
 ) -> (Vec<RawWindow>, ExecSummary) {
-    rhmd_obs::incr("trace.programs_executed");
-    let _span = rhmd_obs::span("trace.exec");
-    struct Collector {
-        cursor: SubwindowCursor,
-        windows: Vec<RawWindow>,
-    }
-    impl BatchSink for Collector {
-        #[inline]
-        fn body_run(&mut self, pc: u64, instrs: &[FlatInstr], addrs: &[u64]) {
-            self.cursor.body_run(pc, instrs, addrs, &mut self.windows);
-        }
-        #[inline]
-        fn terminator(&mut self, ev: &ExecEvent) {
-            self.cursor.terminator(ev, &mut self.windows);
-        }
-    }
-    let mut collector = Collector {
-        cursor: SubwindowCursor::new(config),
-        windows: Vec::new(),
-    };
-    let summary = rhmd_trace::flat::with_scratch(|scratch| {
-        flat.run_batched(limits, &mut collector, scratch)
-    });
-    collector.cursor.finish(&mut collector.windows);
-    rhmd_obs::add("trace.instructions", summary.instructions);
-    rhmd_obs::add("trace.windows", collector.cursor.sealed);
-    (collector.windows, summary)
+    let mut windows = Vec::new();
+    let outcome = run_stream(flat, limits, config, &[], &mut [], Some(&mut windows));
+    (windows, outcome.summary)
 }
 
 /// [`collect_subwindows_flat`] lowering the program first.
@@ -581,20 +526,5 @@ mod tests {
             assert_eq!(outcome.rows, vec![windows.len()]);
             assert_eq!(out, ref_out);
         }
-    }
-
-    #[test]
-    fn observer_path_matches_batched_path() {
-        let p = ProgramGenerator::new(benign_profile(BenignClass::SpecCompute)).generate(2);
-        let limits = ExecLimits::instructions(12_345);
-        let spec = FeatureSpec::new(FeatureKind::Instructions, 2_000, vec![]);
-        let lanes = [LaneSpec::clean(&spec)];
-        let mut fast = Vec::new();
-        let a = stream_features_into(&p, limits, CoreConfig::default(), &lanes, &mut [&mut fast]);
-        let mut slow = Vec::new();
-        let b =
-            stream_features_observed(&p, limits, CoreConfig::default(), &lanes, &mut [&mut slow]);
-        assert_eq!(a, b);
-        assert_eq!(fast, slow);
     }
 }

@@ -9,7 +9,7 @@ use rhmd_trace::exec::{ExecEvent, Observer};
 use rhmd_trace::isa::OPCODE_COUNT;
 use rhmd_uarch::events::{CounterSet, COUNTER_DIMS};
 use rhmd_uarch::faults::FaultModel;
-use rhmd_uarch::{CoreModel, CounterSource};
+use rhmd_uarch::CounterSource;
 use serde::{Deserialize, Serialize};
 
 /// Fine accumulation granularity, in committed instructions.
@@ -77,28 +77,15 @@ pub fn delta_bin(prev: u64, addr: u64) -> usize {
     }
 }
 
-/// An [`Observer`] that drives a commit-stage core and slices the stream
-/// into [`SUBWINDOW`]-sized [`RawWindow`]s.
+/// An [`Observer`] that drives a commit-stage core one event at a time and
+/// slices the stream into [`SUBWINDOW`]-sized [`RawWindow`]s.
 ///
-/// Generic over the core so the same accumulation logic runs against the
-/// optimized [`CoreModel`] (the default) or the frozen
-/// [`rhmd_uarch::ReferenceCore`] differential oracle.
-///
-/// # Examples
-///
-/// ```
-/// use rhmd_features::window::WindowAccumulator;
-/// use rhmd_trace::exec::ExecLimits;
-/// use rhmd_trace::generate::{benign_profile, BenignClass, ProgramGenerator};
-/// use rhmd_uarch::{CoreConfig, CoreModel};
-///
-/// let program = ProgramGenerator::new(benign_profile(BenignClass::Browser)).generate(0);
-/// let mut acc = WindowAccumulator::new(CoreModel::new(CoreConfig::default()));
-/// program.execute(ExecLimits::instructions(5_000), &mut acc);
-/// assert_eq!(acc.finish().len(), 5);
-/// ```
+/// It is the body of the differential oracle
+/// [`crate::pipeline::trace_subwindows_reference`] (driving
+/// [`rhmd_uarch::ReferenceCore`]) and nothing else: production traces run on
+/// the batched [`crate::stream`] engine, which is pinned to it bit for bit.
 #[derive(Debug)]
-pub struct WindowAccumulator<C = CoreModel> {
+pub struct WindowAccumulator<C> {
     core: C,
     current: RawWindow,
     windows: Vec<RawWindow>,
@@ -266,9 +253,11 @@ mod tests {
 
     fn subwindows(n_instr: u64) -> Vec<RawWindow> {
         let p = ProgramGenerator::new(benign_profile(BenignClass::Archiver)).generate(1);
-        let mut acc = WindowAccumulator::new(CoreModel::new(CoreConfig::default()));
-        p.execute(ExecLimits::instructions(n_instr), &mut acc);
-        acc.finish()
+        crate::pipeline::trace_subwindows(
+            &p,
+            ExecLimits::instructions(n_instr),
+            CoreConfig::default(),
+        )
     }
 
     #[test]

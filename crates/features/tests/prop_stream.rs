@@ -3,7 +3,8 @@
 //!
 //! The streaming path (flat IR, batched µarch simulation, incremental
 //! lanes) claims to be a pure optimization of the seed-era per-event
-//! pipeline. These properties check that claim across random programs,
+//! pipeline. These properties check that claim across random programs
+//! (as generated, and rewritten by the evasion framework's injection),
 //! execution budgets, collection periods, fill thresholds, and fault
 //! plans — the full cross product the experiments exercise.
 
@@ -14,9 +15,11 @@ use rhmd_features::stream::{
 };
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
 use rhmd_features::window::{aggregate_with_gaps, apply_faults};
-use rhmd_trace::exec::ExecLimits;
+use rhmd_trace::exec::{CountingSink, ExecLimits, Executor};
 use rhmd_trace::generate::{benign_profile, malware_profile, BenignClass, MalwareFamily,
                            ProgramGenerator};
+use rhmd_trace::inject::{apply, InjectionPlan, Placement};
+use rhmd_trace::isa::Opcode;
 use rhmd_trace::Program;
 use rhmd_uarch::faults::{FaultConfig, FaultModel};
 use rhmd_uarch::CoreConfig;
@@ -27,6 +30,64 @@ fn any_profile_seeded() -> impl Strategy<Value = Program> {
             ProgramGenerator::new(malware_profile(MalwareFamily::ALL[class])).generate(seed)
         } else {
             ProgramGenerator::new(benign_profile(BenignClass::ALL[class - 6])).generate(seed)
+        }
+    })
+}
+
+/// An evasion rewrite: fixed or per-site random payload, block or function
+/// level, memory payloads striding the scratch stream by `mem_delta`.
+fn any_plan() -> impl Strategy<Value = InjectionPlan> {
+    let injectable: Vec<Opcode> = Opcode::ALL
+        .iter()
+        .copied()
+        .filter(|op| op.is_injectable())
+        .collect();
+    (
+        prop::collection::vec(prop::sample::select(injectable.clone()), 1..6),
+        prop::sample::select(vec![None, Some(Opcode::Load), Some(Opcode::Store)]),
+        any::<bool>(),
+        any::<bool>(),
+        prop::sample::select(vec![0u32, 1, 8, 64, 4_096, 1 << 20]),
+        any::<u64>(),
+    )
+        .prop_map(
+            move |(mut payload, mem_op, random, every_block, mem_delta, seed)| {
+                payload.extend(mem_op);
+                let placement = if every_block {
+                    Placement::EveryBlock
+                } else {
+                    Placement::BeforeReturn
+                };
+                let plan = if random {
+                    InjectionPlan::random(injectable.clone(), payload.len(), placement, seed)
+                } else {
+                    InjectionPlan::new(payload, placement)
+                };
+                plan.with_mem_delta(mem_delta)
+            },
+        )
+}
+
+/// A generated program, either as is or rewritten under a random plan —
+/// the inputs evasion re-tracing and overhead measurement run.
+fn any_maybe_rewritten() -> impl Strategy<Value = Program> {
+    (any_profile_seeded(), any::<bool>(), any_plan()).prop_map(|(program, rewrite, plan)| {
+        if rewrite {
+            apply(&program, &plan).0
+        } else {
+            program
+        }
+    })
+}
+
+/// A total-instruction budget, or an original-work budget (the bound
+/// `measure_overhead` runs rewritten programs under).
+fn any_limits() -> impl Strategy<Value = ExecLimits> {
+    (1_000u64..30_000, any::<bool>()).prop_map(|(n, original)| {
+        if original {
+            ExecLimits::original_instructions(n)
+        } else {
+            ExecLimits::instructions(n)
         }
     })
 }
@@ -61,24 +122,33 @@ fn bits_equal(a: &[f64], b: &[f64]) -> bool {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The batched flat-IR walk seals exactly the subwindows the per-event
-    /// reference accumulator produces, on any program and budget.
+    /// reference accumulator produces, and reports the reference
+    /// interpreter's summary, on any program (plain or rewritten) and
+    /// budget.
     #[test]
     fn batched_subwindows_match_reference(
-        program in any_profile_seeded(),
-        budget in 1_000u64..30_000,
+        program in any_maybe_rewritten(),
+        limits in any_limits(),
     ) {
-        let limits = ExecLimits::instructions(budget);
         let reference = trace_subwindows_reference(&program, limits, CoreConfig::default());
         let (batched, summary) = collect_subwindows(&program, limits, CoreConfig::default());
         prop_assert_eq!(&batched, &reference);
+        prop_assert_eq!(
+            summary,
+            Executor::new(&program, limits).run_reference(&mut CountingSink::default())
+        );
         prop_assert_eq!(
             summary.instructions,
             batched.iter().map(|w| w.instructions).sum::<u64>()
         );
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// A clean streaming lane reproduces trace → aggregate → project
     /// bit-for-bit, for any spec kind, period, and fill threshold.

@@ -47,10 +47,7 @@ enum Node {
 /// use rhmd_ml::tree::{DecisionTree, TreeConfig};
 /// use rhmd_ml::model::{Classifier, Dataset};
 ///
-/// let data = Dataset::from_rows(
-///     vec![vec![0.1], vec![0.2], vec![0.8], vec![0.9]],
-///     vec![false, false, true, true],
-/// );
+/// let data = Dataset::from_flat(1, vec![0.1, 0.2, 0.8, 0.9], vec![false, false, true, true]);
 /// let tree = DecisionTree::fit(&TreeConfig::default(), &data);
 /// assert!(tree.predict(&[0.85]));
 /// ```
