@@ -17,9 +17,8 @@
 //! additionally export the enabled pass's snapshot. See `--help`.
 
 use rhmd_bench::flags::parse_env_args;
-use rhmd_bench::metrics::preregister_standard;
-use rhmd_bench::par::{CacheStats, Evaluator, Pool};
 use rhmd_bench::Experiment;
+use rhmd_core::eval::{CacheStats, Evaluator};
 use rhmd_core::hmd::Hmd;
 use rhmd_core::retrain::detection_quality;
 use rhmd_data::{Corpus, CorpusStore, StoreBuilder, TracedCorpus};
@@ -28,6 +27,8 @@ use rhmd_ml::metrics::auc;
 use rhmd_ml::model::{score_all, Dataset};
 use rhmd_ml::trainer::Algorithm;
 use rhmd_obs as obs;
+use rhmd_runtime::metrics::preregister_standard;
+use rhmd_runtime::pool::Pool;
 use serde::Serialize;
 use std::time::Instant;
 

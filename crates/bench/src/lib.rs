@@ -12,10 +12,7 @@
 pub mod context;
 pub mod figures;
 pub mod flags;
-pub mod metrics;
-pub mod par;
 pub mod report;
 
 pub use context::Experiment;
-pub use par::{Evaluator, EvaluatorBuilder, FeatureCache, Pool};
 pub use report::Table;

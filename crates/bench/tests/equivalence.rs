@@ -5,8 +5,8 @@
 //! tolerances): the engine's claim is bit-exactness, so a 1-ulp drift is a
 //! real bug, not noise.
 
-use rhmd_bench::par::{Evaluator, Pool};
 use rhmd_bench::Experiment;
+use rhmd_core::eval::Evaluator;
 use rhmd_core::hmd::Hmd;
 use rhmd_core::retrain::detection_quality;
 use rhmd_core::rhmd::{build_pool, pool_specs};
@@ -16,6 +16,7 @@ use rhmd_features::vector::FeatureKind;
 use rhmd_ml::metrics::auc;
 use rhmd_ml::model::score_all;
 use rhmd_ml::trainer::Algorithm;
+use rhmd_runtime::pool::Pool;
 use rhmd_uarch::faults::FaultConfig;
 use std::sync::OnceLock;
 

@@ -4,10 +4,10 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rhmd_bench::par::{FeatureCache, Pool};
-use rhmd_data::parallel_map_threads;
+use rhmd_core::eval::FeatureCache;
 use rhmd_features::pipeline::project_windows;
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
+use rhmd_runtime::pool::{Pool, WatchdogConfig};
 use rhmd_trace::seed::{derive_seed, mix_seed, splitmix64};
 
 proptest! {
@@ -23,15 +23,30 @@ proptest! {
         prop_assert_eq!(par, serial);
     }
 
-    /// The chunked scoped-thread map (tracing's substrate) agrees too.
+    /// Both maps run on one scheduler: a clean watchdog run equals the
+    /// plain map equals a serial map, even when per-item cost is skewed
+    /// enough that workers steal.
     #[test]
-    fn parallel_map_threads_equals_serial(
-        items in vec(any::<u32>(), 0..150),
-        threads in 1usize..12,
+    fn watchdog_map_equals_map_equals_serial(
+        items in vec(any::<u64>(), 0..120),
+        threads in 1usize..16,
+        heavy_every in 1usize..8,
     ) {
-        let serial: Vec<u64> = items.iter().map(|&x| u64::from(x) * 3 + 1).collect();
-        let par = parallel_map_threads(threads, &items, |&x| u64::from(x) * 3 + 1);
-        prop_assert_eq!(par, serial);
+        // Every `heavy_every`-th item does ~100x the work of the others.
+        let f = |i: usize, x: u64| {
+            let rounds = if i.is_multiple_of(heavy_every) { 2_000 } else { 20 };
+            (0..rounds).fold(x ^ i as u64, |a, b: u64| a.rotate_left(7) ^ b.wrapping_mul(31))
+        };
+        let serial: Vec<u64> = items.iter().enumerate().map(|(i, &x)| f(i, x)).collect();
+        let pool = Pool::new(threads);
+        let plain = pool.map(&items, |i, &x| f(i, x));
+        let (watched, report) = pool
+            .map_watchdog(&items, &WatchdogConfig::default(), |i, &x| f(i, x))
+            .unwrap();
+        prop_assert!(!report.degraded(), "{:?}", report);
+        prop_assert_eq!(report.items, items.len() as u64);
+        prop_assert_eq!(&plain, &serial);
+        prop_assert_eq!(watched, serial);
     }
 
     /// Derived seeds are pure functions of (run seed, stream id): the same

@@ -6,9 +6,9 @@
 //! [`ResilientHmd`](crate::rhmd::ResilientHmd), and the
 //! [`NonStationaryRhmd`](crate::rhmd::NonStationaryRhmd) — historically
 //! grew its own near-duplicate method family (`label_subwindows`,
-//! `decisions`, `quorum_verdict`, plus the `*_seeded` variants the
-//! parallel evaluator needs). This module collapses all of them behind one
-//! trait whose randomness is an *explicit parameter*: every call takes a
+//! `decisions`, `quorum_verdict`, plus seeded variants for the parallel
+//! evaluator). This module collapses all of them behind one trait whose
+//! randomness is an *explicit parameter*: every call takes a
 //! caller-seeded [`StreamRng`], so
 //!
 //! * deterministic detectors simply ignore it,
@@ -17,9 +17,6 @@
 //!   always yields the same output, regardless of call order or thread
 //!   count. That property is what lets the parallel evaluator fan programs
 //!   out without sharing RNG state.
-//!
-//! The old inherent `*_seeded` methods remain as thin deprecated
-//! forwarders for one release.
 //!
 //! # Examples
 //!

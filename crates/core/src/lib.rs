@@ -23,7 +23,10 @@
 //! 6. [`pac`] — the Theorem 1 error band that explains *why* randomization
 //!    resists reverse-engineering (§8);
 //! 7. [`hw`] — the FPGA cost accounting behind the paper's 1.72% area /
-//!    0.78% power overhead claim (§7).
+//!    0.78% power overhead claim (§7);
+//! 8. [`eval`] — the corpus-evaluation engine every experiment and the CLI
+//!    share: a feature cache and per-program evaluation loops fanned out
+//!    on `rhmd_runtime::pool`, bit-identical at any thread count.
 //!
 //! # Examples
 //!
@@ -60,6 +63,7 @@
 
 pub mod detector;
 pub mod ensemble;
+pub mod eval;
 pub mod evasion;
 pub mod hmd;
 pub mod hw;

@@ -82,33 +82,47 @@ pub struct DetectionQuality {
     pub specificity: f64,
 }
 
+impl DetectionQuality {
+    /// Tallies program-level verdicts: `verdicts[k]` is the malware flag
+    /// raised on program `indices[k]`, whose ground truth is
+    /// `labels[indices[k]]`. A class with no programs in `indices` scores
+    /// 0.0.
+    pub fn from_verdicts(
+        labels: &[bool],
+        indices: &[usize],
+        verdicts: &[bool],
+    ) -> DetectionQuality {
+        let (mut tp, mut mal, mut tn, mut ben) = (0usize, 0usize, 0usize, 0usize);
+        for (&i, &flagged) in indices.iter().zip(verdicts) {
+            if labels[i] {
+                mal += 1;
+                tp += usize::from(flagged);
+            } else {
+                ben += 1;
+                tn += usize::from(!flagged);
+            }
+        }
+        DetectionQuality {
+            sensitivity_unmodified: if mal == 0 { 0.0 } else { tp as f64 / mal as f64 },
+            specificity: if ben == 0 { 0.0 } else { tn as f64 / ben as f64 },
+        }
+    }
+}
+
 /// Measures program-level sensitivity/specificity over `indices`.
 pub fn detection_quality(
     detector: &mut dyn BlackBox,
     traced: &TracedCorpus,
     indices: &[usize],
 ) -> DetectionQuality {
-    let labels = traced.corpus().labels();
-    let (mut tp, mut mal, mut tn, mut ben) = (0usize, 0usize, 0usize, 0usize);
-    for &i in indices {
-        let stream = detector.label_subwindows(traced.subwindows(i));
-        let verdict = ProgramVerdict::from_decisions(&stream).is_malware();
-        if labels[i] {
-            mal += 1;
-            if verdict {
-                tp += 1;
-            }
-        } else {
-            ben += 1;
-            if !verdict {
-                tn += 1;
-            }
-        }
-    }
-    DetectionQuality {
-        sensitivity_unmodified: if mal == 0 { 0.0 } else { tp as f64 / mal as f64 },
-        specificity: if ben == 0 { 0.0 } else { tn as f64 / ben as f64 },
-    }
+    let verdicts: Vec<bool> = indices
+        .iter()
+        .map(|&i| {
+            let stream = detector.label_subwindows(traced.subwindows(i));
+            ProgramVerdict::from_decisions(&stream).is_malware()
+        })
+        .collect();
+    DetectionQuality::from_verdicts(&traced.corpus().labels(), indices, &verdicts)
 }
 
 /// Fraction of evasive variants (given as per-program subwindow traces)

@@ -56,7 +56,6 @@
 
 use crate::config::CorpusConfig;
 use crate::corpus::Corpus;
-use crate::traced::parallel_map_threads;
 use rhmd_features::stream::{stream_features_into, LaneSpec};
 use rhmd_features::vector::FeatureSpec;
 
@@ -70,6 +69,7 @@ use rhmd_ml::matrix::FeatureMatrix;
 use rhmd_ml::mmap::{MappedBuffer, NATIVE_F64_VIEWS};
 use rhmd_runtime::ckpt::{Journal, Manifest};
 use rhmd_runtime::durable::{fnv1a, Durable};
+use rhmd_runtime::pool::Pool;
 use rhmd_runtime::RhmdError;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -381,7 +381,7 @@ impl StoreBuilder {
                 // buffers reused across programs.
                 let lanes: Vec<LaneSpec> = self.specs.iter().map(LaneSpec::clean).collect();
                 let flats: Vec<Vec<(u64, Vec<u8>)>> =
-                    parallel_map_threads(self.threads, ids, |&id| {
+                    Pool::new(self.threads).map(ids, |_, &id| {
                         STAGING.with(|staging| {
                             let mut staging = staging.borrow_mut();
                             let want = lanes.len().max(staging.len());
@@ -521,7 +521,7 @@ fn itertools3<'a>(
 /// unlikely) hash collision is disarmed by an exact equality check before
 /// aliasing.
 fn canonical_map(corpus: &Corpus, threads: usize) -> Result<Vec<usize>, RhmdError> {
-    let hashes: Vec<u64> = parallel_map_threads(threads, corpus.programs(), |p| {
+    let hashes: Vec<u64> = Pool::new(threads).map(corpus.programs(), |_, p| {
         let mut anon = p.clone();
         anon.name = String::new();
         let json = serde_json::to_string(&anon).unwrap_or_default();

@@ -12,6 +12,7 @@ use rhmd_features::stream::collect_subwindows;
 use rhmd_features::vector::FeatureSpec;
 use rhmd_features::window::RawWindow;
 use rhmd_ml::model::Dataset;
+use rhmd_runtime::pool::Pool;
 use rhmd_trace::exec::{ExecLimits, ExecSummary};
 use rhmd_trace::Program;
 use rhmd_uarch::CoreConfig;
@@ -20,48 +21,15 @@ use std::fmt;
 /// Runs `f` over `items` on all available cores, preserving order.
 ///
 /// Each item is independent and deterministic, so the result is identical to
-/// a sequential map.
+/// a sequential map. A thin wrapper over [`Pool::map`] for callers that do
+/// not need the item index or an explicit width.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    parallel_map_threads(threads, items, f)
-}
-
-/// [`parallel_map`] with an explicit worker count (the CLI's `--threads`).
-///
-/// Output is identical at any `threads` value, including 1: parallelism
-/// only changes which worker computes each slot, never the result.
-pub fn parallel_map_threads<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads <= 1 || items.len() < 2 {
-        return items.iter().map(&f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
-    let out_chunks: Vec<&mut [Option<R>]> = out.chunks_mut(chunk).collect();
-    std::thread::scope(|scope| {
-        for (slice, results) in items.chunks(chunk).zip(out_chunks) {
-            let f = &f;
-            scope.spawn(move || {
-                for (item, slot) in slice.iter().zip(results.iter_mut()) {
-                    *slot = Some(f(item));
-                }
-            });
-        }
-    });
-    out.into_iter().map(|r| r.expect("all slots filled")).collect()
+    Pool::available().map(items, |_, x| f(x))
 }
 
 /// A corpus plus its per-program subwindow traces.
@@ -75,10 +43,7 @@ pub struct TracedCorpus {
 impl TracedCorpus {
     /// Traces every program in `corpus` (in parallel across cores).
     pub fn trace(corpus: Corpus, limits: ExecLimits, core_config: CoreConfig) -> TracedCorpus {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        TracedCorpus::trace_threads(corpus, limits, core_config, threads)
+        TracedCorpus::trace_threads(corpus, limits, core_config, Pool::available().threads())
     }
 
     /// Like [`TracedCorpus::trace`] with an explicit worker count. Traces
@@ -90,7 +55,7 @@ impl TracedCorpus {
         core_config: CoreConfig,
         threads: usize,
     ) -> TracedCorpus {
-        let subwindows = parallel_map_threads(threads, corpus.programs(), |p| {
+        let subwindows = Pool::new(threads).map(corpus.programs(), |_, p| {
             trace_subwindows(p, limits, core_config)
         });
         rhmd_obs::add("data.programs_traced", subwindows.len() as u64);

@@ -23,7 +23,7 @@
 use rhmd_core::RhmdError;
 
 /// splitmix64: the workspace-standard seed mixer (matches
-/// `rhmd_bench::par` and `rhmd_ml::quant`).
+/// `rhmd_trace::seed::splitmix64` and `rhmd_ml::quant`).
 #[must_use]
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);

@@ -14,8 +14,9 @@
 //! and review the diff of `tests/golden_expected.json` like any other code
 //! change.
 
-use rhmd_bench::par::{Evaluator, Pool};
 use rhmd_bench::Experiment;
+use rhmd_core::eval::Evaluator;
+use rhmd_runtime::pool::Pool;
 use rhmd_core::detector::{Detector, StreamRng};
 use rhmd_core::hmd::Hmd;
 use rhmd_core::rhmd::{build_pool, pool_specs};
