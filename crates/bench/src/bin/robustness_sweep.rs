@@ -17,7 +17,6 @@ use rhmd_bench::flags::parse_env_args;
 use rhmd_bench::{Experiment, Table};
 use rhmd_core::eval::{DegradedQuality, Evaluator};
 use rhmd_core::RhmdError;
-use rhmd_core::detector::{Detector, StreamRng};
 use rhmd_core::ensemble::{Combiner, EnsembleHmd};
 use rhmd_core::hmd::{Hmd, QuorumVerdict};
 use rhmd_core::rhmd::{build_pool, pool_specs, ResilientHmd};
@@ -177,11 +176,11 @@ fn run() -> Result<(), RhmdError> {
         })?;
         // The serial sweep reset the pool before every program, i.e. each
         // program saw the switching stream from the construction seed — the
-        // trait-path quorum with a construction-seeded StreamRng replays
-        // exactly that, without shared state.
+        // seeded quorum with the construction seed replays exactly that,
+        // without shared state.
         let (q_rh, _) = engine.unit(&format!("{name}/rhmd"), || {
             measure(&engine, test, config, |_, subs| {
-                Detector::quorum(&rhmd, subs, MIN_FILL, &mut StreamRng::from_seed(rhmd.seed()))
+                rhmd.quorum(subs, MIN_FILL, rhmd.seed())
             })
         })?;
         table.push_row(vec![

@@ -4,7 +4,7 @@ use crate::args::Args;
 use crate::persist::{load_hmd, save_hmd};
 use rhmd_core::eval::{CacheStats, Evaluator, EvaluatorBuilder};
 use rhmd_core::evasion::{evade_corpus, plan_evasion, EvasionConfig, Strategy};
-use rhmd_core::hmd::Hmd;
+use rhmd_core::hmd::{check_period, Hmd};
 use rhmd_core::retrain::detection_quality;
 use rhmd_core::reveng;
 use rhmd_core::rhmd::{build_pool, pool_specs};
@@ -55,9 +55,11 @@ fn parse_period_list(args: &Args) -> Result<Vec<u32>, RhmdError> {
     args.str_or("periods", "10000")
         .split(',')
         .map(|p| {
-            p.trim()
+            let period = p
+                .trim()
                 .parse()
-                .map_err(|_| RhmdError::parse("--periods", format!("bad period '{p}'")))
+                .map_err(|_| RhmdError::parse("--periods", format!("bad period '{p}'")))?;
+            check_period("--periods", period)
         })
         .collect()
 }
@@ -603,7 +605,7 @@ pub fn dump(args: &Args) -> Result<(), RhmdError> {
 pub fn train(args: &Args) -> Result<(), RhmdError> {
     let kind = parse_kind(&args.str_or("feature", "instructions"))?;
     let algorithm = parse_algorithm(&args.str_or("algo", "lr"))?;
-    let period: u32 = args.parse_or("period", 10_000)?;
+    let period = check_period("--period", args.parse_or("period", 10_000)?)?;
     let metrics = parse_metrics(args);
     metrics.install();
     let bench = workbench(args)?;

@@ -89,6 +89,31 @@ mod tests {
     }
 
     #[test]
+    fn bad_period_is_rejected() {
+        let (traced, splits) = fixture();
+        let hmd = Hmd::train(
+            Algorithm::Lr,
+            FeatureSpec::new(FeatureKind::Memory, 5_000, vec![]),
+            &TrainerConfig::default(),
+            &traced,
+            &splits.victim_train,
+        );
+        let dir = std::env::temp_dir().join("rhmd-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bad-period.json");
+        for period in [0, 2_500] {
+            let mut saved = snapshot(&hmd).unwrap();
+            saved.spec.period = period;
+            std::fs::write(&path, serde_json::to_string(&saved).unwrap()).unwrap();
+            let err = load_hmd(&path).unwrap_err();
+            assert!(matches!(err, RhmdError::Parse { .. }), "{err}");
+            assert!(err.to_string().contains("bad-period.json"), "{err}");
+            assert!(err.to_string().contains(&format!("period {period} ")), "{err}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn missing_file_is_io_error() {
         let err = load_hmd(Path::new("/nonexistent/rhmd-model.json")).unwrap_err();
         assert!(matches!(err, RhmdError::Io { .. }));

@@ -137,6 +137,55 @@ fn wrong_shape_model_file_exits_2() {
     std::fs::remove_file(&path).ok();
 }
 
+#[test]
+fn model_with_a_bad_period_exits_2_before_any_session_runs() {
+    // A saved spec whose period the window aggregators would reject: every
+    // command that loads a model refuses it with a parse error naming the
+    // file, instead of panicking in the scoring path.
+    let dir = std::env::temp_dir().join(format!("rhmd-cli-errors-period-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let good = dir.join("model.json");
+    let out = rhmd(&["train", "--scale", "tiny", "--out", good.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let json = std::fs::read_to_string(&good).unwrap();
+    assert_eq!(json.matches("\"period\": 10000").count(), 1, "{json}");
+    let bad = dir.join("bad-period.json");
+    std::fs::write(&bad, json.replace("\"period\": 10000", "\"period\": 2500")).unwrap();
+    for command in ["evaluate", "serve"] {
+        let stderr = expect_failure(&[command, "--model", bad.to_str().unwrap()]);
+        assert!(stderr.contains("bad-period.json"), "{command}: {stderr}");
+        assert!(
+            stderr.contains("period 2500 is not a positive multiple of 1000"),
+            "{command}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// Periods are validated before tracing: a bad one would otherwise panic in
+// a pool worker after the whole corpus was simulated.
+
+#[test]
+fn period_not_a_positive_multiple_of_the_subwindow_exits_2() {
+    let store = std::env::temp_dir().join("rhmd-cli-errors-unbuilt-store");
+    let store = store.to_str().unwrap();
+    let cases: [(&[&str], &str, u32); 5] = [
+        (&["train", "--period", "2500"], "--period", 2500),
+        (&["train", "--period", "0"], "--period", 0),
+        (&["sweep", "--periods", "10000,2500"], "--periods", 2500),
+        (&["defend", "--periods", "10000,2500"], "--periods", 2500),
+        (&["corpus", "build", "--store", store, "--periods", "0"], "--periods", 0),
+    ];
+    for (args, flag, period) in cases {
+        let stderr = expect_failure(args);
+        assert!(stderr.contains(&format!("cannot parse {flag}")), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("period {period} is not a positive multiple of 1000")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
 // --threads is validated before tracing starts in every command that
 // builds a workbench.
 

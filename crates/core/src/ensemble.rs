@@ -152,43 +152,6 @@ impl BlackBox for EnsembleHmd {
     }
 }
 
-impl crate::detector::Detector for EnsembleHmd {
-    fn name(&self) -> String {
-        self.describe()
-    }
-
-    /// Deterministic: the RNG is ignored.
-    fn label_stream(
-        &self,
-        subwindows: &[RawWindow],
-        _rng: &mut crate::detector::StreamRng,
-    ) -> Vec<bool> {
-        let per = (self.period / SUBWINDOW) as usize;
-        let mut out = Vec::with_capacity(subwindows.len());
-        for decision in self.decide_windows(subwindows) {
-            out.extend(std::iter::repeat_n(decision, per));
-        }
-        out
-    }
-
-    fn epoch_decisions(
-        &self,
-        subwindows: &[RawWindow],
-        _rng: &mut crate::detector::StreamRng,
-    ) -> Vec<bool> {
-        self.decide_windows(subwindows)
-    }
-
-    fn quorum(
-        &self,
-        subwindows: &[RawWindow],
-        min_fill: f64,
-        _rng: &mut crate::detector::StreamRng,
-    ) -> QuorumVerdict {
-        self.quorum_verdict(subwindows, min_fill)
-    }
-}
-
 impl fmt::Debug for EnsembleHmd {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EnsembleHmd")

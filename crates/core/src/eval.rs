@@ -17,7 +17,6 @@
 //!    the same immutable vectors a miss would compute, so interleaving of
 //!    hits and misses cannot change any result, only the wall-clock.
 
-use crate::detector::{Detector, StreamRng};
 use crate::hmd::{Hmd, ProgramVerdict, QuorumVerdict};
 use crate::retrain::DetectionQuality;
 use crate::rhmd::ResilientHmd;
@@ -686,8 +685,8 @@ impl<'a> Evaluator<'a> {
     pub fn quality_rhmd(&self, rhmd: &ResilientHmd, indices: &[usize]) -> DetectionQuality {
         let traced = self.traced();
         let verdicts = self.run_map(indices, |_, &i| {
-            let mut rng = StreamRng::from_seed(derive_seed(rhmd.seed(), i as u64));
-            let stream = Detector::label_stream(rhmd, traced.subwindows(i), &mut rng);
+            let stream =
+                rhmd.label_stream(traced.subwindows(i), derive_seed(rhmd.seed(), i as u64));
             ProgramVerdict::from_decisions(&stream).is_malware()
         });
         DetectionQuality::from_verdicts(&self.source.corpus().labels(), indices, &verdicts)

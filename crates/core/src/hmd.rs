@@ -1,6 +1,7 @@
 //! Baseline hardware malware detectors (HMDs) and the black-box query
 //! interface attackers see.
 
+use crate::RhmdError;
 use rhmd_data::TracedCorpus;
 use rhmd_features::vector::FeatureSpec;
 use rhmd_features::window::{aggregate, aggregate_with_gaps, RawWindow, SUBWINDOW};
@@ -15,10 +16,27 @@ use std::fmt;
 /// corrupted counters, and a detector abstains rather than vote on them.
 pub const ABSTAIN_BOUND: f64 = 1e3;
 
+/// Checks that `period` is a usable collection period: a positive multiple
+/// of [`SUBWINDOW`], the contract every window aggregator asserts.
+///
+/// # Errors
+///
+/// Returns [`RhmdError::Parse`] naming `what` (a flag or a model file)
+/// otherwise.
+pub fn check_period(what: &str, period: u32) -> Result<u32, RhmdError> {
+    if period > 0 && period.is_multiple_of(SUBWINDOW) {
+        Ok(period)
+    } else {
+        Err(RhmdError::parse(
+            what,
+            format!("period {period} is not a positive multiple of {SUBWINDOW}"),
+        ))
+    }
+}
+
 /// The black-box interface the attacker can query (paper §2: "the attacker
-/// has access to a machine with a similar detector"). Formerly named
-/// `Detector`; that name now refers to the defender-side
-/// [`crate::detector::Detector`] trait.
+/// has access to a machine with a similar detector"). Every detector
+/// family answers queries through it.
 ///
 /// A detector consumes a program's trace and emits a stream of binary
 /// decisions, reported at [`SUBWINDOW`] granularity so detectors with
@@ -382,43 +400,6 @@ impl BlackBox for Hmd {
 
     fn describe(&self) -> String {
         format!("{}[{}]", self.algorithm, self.spec.label())
-    }
-}
-
-impl crate::detector::Detector for Hmd {
-    fn name(&self) -> String {
-        format!("{}[{}]", self.algorithm, self.spec.label())
-    }
-
-    /// Deterministic: the RNG is ignored.
-    fn label_stream(
-        &self,
-        subwindows: &[RawWindow],
-        _rng: &mut crate::detector::StreamRng,
-    ) -> Vec<bool> {
-        let per = (self.spec.period / SUBWINDOW) as usize;
-        let mut out = Vec::with_capacity(subwindows.len());
-        for decision in self.decide_windows(subwindows) {
-            out.extend(std::iter::repeat_n(decision, per));
-        }
-        out
-    }
-
-    fn epoch_decisions(
-        &self,
-        subwindows: &[RawWindow],
-        _rng: &mut crate::detector::StreamRng,
-    ) -> Vec<bool> {
-        self.decide_windows(subwindows)
-    }
-
-    fn quorum(
-        &self,
-        subwindows: &[RawWindow],
-        min_fill: f64,
-        _rng: &mut crate::detector::StreamRng,
-    ) -> QuorumVerdict {
-        self.quorum_verdict(subwindows, min_fill)
     }
 }
 

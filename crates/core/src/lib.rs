@@ -6,9 +6,7 @@
 //!
 //! 1. [`hmd`] — baseline hardware malware detectors (feature spec ×
 //!    classifier) and the label-only [`hmd::BlackBox`] query interface the
-//!    attacker sees; [`detector`] — the unified [`detector::Detector`]
-//!    trait every detector family implements, with explicitly seeded
-//!    switching streams;
+//!    attacker sees, which every detector family implements;
 //! 2. [`reveng`] — black-box reverse-engineering: query, relabel, train a
 //!    surrogate, measure agreement (§4, Figs 3–4);
 //! 3. [`evasion`] — reverse-engineering-driven instruction injection:
@@ -61,7 +59,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod detector;
 pub mod ensemble;
 pub mod eval;
 pub mod evasion;
@@ -80,7 +77,6 @@ pub mod verdict;
 pub use rhmd_runtime::error;
 pub use rhmd_runtime::RhmdError;
 
-pub use detector::{Detector, StreamRng};
 pub use evasion::{evade_corpus, plan_evasion, EvasionConfig, EvasionTrial, Strategy};
 pub use hmd::{transfer_labels, BlackBox, Hmd, ProgramVerdict, QuorumVerdict, ABSTAIN_BOUND};
 pub use hw::{overhead as hw_overhead, HwOverhead, UnitCosts};

@@ -163,7 +163,8 @@ pub fn save_hmd(hmd: &Hmd, path: &Path) -> Result<(), RhmdError> {
 /// # Errors
 ///
 /// Returns [`RhmdError::Io`] when the file cannot be read (e.g. a missing
-/// model file), [`RhmdError::Parse`] on malformed JSON, and
+/// model file), [`RhmdError::Parse`] on malformed JSON or a collection
+/// period [`check_period`](crate::hmd::check_period) rejects, and
 /// [`RhmdError::Version`] on a format-version mismatch.
 pub fn load_hmd(path: &Path) -> Result<Hmd, RhmdError> {
     let json = std::fs::read_to_string(path)
@@ -176,6 +177,7 @@ pub fn load_hmd(path: &Path) -> Result<Hmd, RhmdError> {
             expected: FORMAT_VERSION,
         });
     }
+    crate::hmd::check_period(&path.display().to_string(), saved.spec.period)?;
     Ok(restore(saved))
 }
 

@@ -1,7 +1,6 @@
 //! Resilient HMDs (paper §7): a pool of diverse base detectors with
 //! stochastic, unpredictable switching between them.
 
-use crate::detector::{Detector, StreamRng};
 use crate::hmd::{BlackBox, Hmd, QuorumVerdict};
 use rhmd_data::TracedCorpus;
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
@@ -111,13 +110,27 @@ impl ResilientHmd {
 }
 
 impl ResilientHmd {
-    /// Walks a trace emitting `(vote, subwindows_consumed)` pairs.
+    /// Walks a trace on the pool's own switching RNG, stopping at the
+    /// last complete epoch.
+    fn walk(&mut self, subwindows: &[RawWindow]) -> Vec<(Option<bool>, usize)> {
+        Self::walk_with(
+            &self.detectors,
+            &self.probabilities,
+            &mut self.rng,
+            subwindows,
+            1.0,
+            false,
+        )
+    }
+
+    /// Walks a trace emitting `(vote, subwindows_consumed)` pairs, drawing
+    /// the switching stream from `rng`.
     ///
     /// A vote of `None` marks an epoch whose window was truncated by a gap
-    /// or whose features failed the sanity check — the epoch is *skipped*
-    /// (the cursor still advances) rather than aborting the walk, so one
-    /// corrupted window in the middle of a trace does not silence every
-    /// detector downstream of it.
+    /// or whose features failed the sanity check. With `skip_gaps` the
+    /// epoch is *skipped* (the cursor still advances) rather than aborting
+    /// the walk, so one corrupted window in the middle of a trace does not
+    /// silence every detector downstream of it.
     ///
     /// `min_fill` is the minimum fraction of the detector's period an
     /// epoch's window must cover to vote. `1.0` reproduces the strict
@@ -125,26 +138,6 @@ impl ResilientHmd {
     /// windows an interrupt-coalescing fault produces (dropped reads merge
     /// into the next surviving one, so those windows span extra
     /// instructions and their rate features renormalize).
-    fn walk(
-        &mut self,
-        subwindows: &[RawWindow],
-        min_fill: f64,
-        skip_gaps: bool,
-    ) -> Vec<(Option<bool>, usize)> {
-        Self::walk_with(
-            &self.detectors,
-            &self.probabilities,
-            &mut self.rng,
-            subwindows,
-            min_fill,
-            skip_gaps,
-        )
-    }
-
-    /// The walk body, parameterized over an explicit RNG so per-program
-    /// switching streams can be derived without mutating shared state (the
-    /// requirement for order-independent — and therefore parallel —
-    /// evaluation).
     fn walk_with(
         detectors: &[Hmd],
         probabilities: &[f64],
@@ -185,70 +178,41 @@ impl ResilientHmd {
         batch_walk_votes(detectors, &meta, &pending)
     }
 
-    /// Walks a trace and pools every epoch into a [`QuorumVerdict`],
-    /// counting corrupted epochs as abstentions instead of votes. Epochs
-    /// whose window covers less than `min_fill` of the drawn detector's
-    /// period abstain.
-    pub fn quorum_verdict(&mut self, subwindows: &[RawWindow], min_fill: f64) -> QuorumVerdict {
-        let votes: Vec<Option<bool>> = self
-            .walk(subwindows, min_fill, true)
-            .into_iter()
-            .map(|(v, _)| v)
-            .collect();
-        QuorumVerdict::from_votes(&votes)
-    }
-}
-
-impl Detector for ResilientHmd {
-    fn name(&self) -> String {
-        self.describe()
-    }
-
-    /// Draws the switching stream from the caller's `rng`: `&self` only,
-    /// so two threads can judge different programs concurrently, and the
-    /// result for a program depends only on its subwindows and seed —
-    /// never on which other programs were judged before it.
-    fn label_stream(&self, subwindows: &[RawWindow], rng: &mut StreamRng) -> Vec<bool> {
-        let mut out = Vec::with_capacity(subwindows.len());
-        for (vote, per) in Self::walk_with(
+    /// Per-subwindow decision stream with the switching stream drawn from a
+    /// fresh RNG seeded with `stream_seed`. Takes `&self`, so threads can
+    /// judge different programs concurrently, and the result depends only
+    /// on `(subwindows, stream_seed)` — never on which programs were judged
+    /// before. Seeded with [`ResilientHmd::seed`], it replays what
+    /// [`BlackBox::label_subwindows`] returns right after a
+    /// [`ResilientHmd::reset`].
+    pub fn label_stream(&self, subwindows: &[RawWindow], stream_seed: u64) -> Vec<bool> {
+        let mut rng = SmallRng::seed_from_u64(stream_seed);
+        let walk = Self::walk_with(
             &self.detectors,
             &self.probabilities,
-            rng.small(),
+            &mut rng,
             subwindows,
             1.0,
             false,
-        ) {
-            if let Some(decision) = vote {
-                out.extend(std::iter::repeat_n(decision, per));
-            }
-        }
-        out
+        );
+        expand_votes(walk, subwindows.len())
     }
 
-    fn epoch_decisions(&self, subwindows: &[RawWindow], rng: &mut StreamRng) -> Vec<bool> {
-        Self::walk_with(
-            &self.detectors,
-            &self.probabilities,
-            rng.small(),
-            subwindows,
-            1.0,
-            false,
-        )
-        .into_iter()
-        .filter_map(|(d, _)| d)
-        .collect()
-    }
-
-    fn quorum(
+    /// Pools every epoch of a seeded walk (see [`ResilientHmd::label_stream`])
+    /// into a [`QuorumVerdict`], counting corrupted epochs as abstentions
+    /// instead of votes. Epochs whose window covers less than `min_fill` of
+    /// the drawn detector's period abstain.
+    pub fn quorum(
         &self,
         subwindows: &[RawWindow],
         min_fill: f64,
-        rng: &mut StreamRng,
+        stream_seed: u64,
     ) -> QuorumVerdict {
+        let mut rng = SmallRng::seed_from_u64(stream_seed);
         let votes: Vec<Option<bool>> = Self::walk_with(
             &self.detectors,
             &self.probabilities,
-            rng.small(),
+            &mut rng,
             subwindows,
             min_fill,
             true,
@@ -262,17 +226,11 @@ impl Detector for ResilientHmd {
 
 impl BlackBox for ResilientHmd {
     fn label_subwindows(&mut self, subwindows: &[RawWindow]) -> Vec<bool> {
-        let mut out = Vec::with_capacity(subwindows.len());
-        for (vote, per) in self.walk(subwindows, 1.0, false) {
-            if let Some(decision) = vote {
-                out.extend(std::iter::repeat_n(decision, per));
-            }
-        }
-        out
+        expand_votes(self.walk(subwindows), subwindows.len())
     }
 
     fn decisions(&mut self, subwindows: &[RawWindow]) -> Vec<bool> {
-        self.walk(subwindows, 1.0, false)
+        self.walk(subwindows)
             .into_iter()
             .filter_map(|(d, _)| d)
             .collect()
@@ -421,60 +379,46 @@ impl NonStationaryRhmd {
         self.redraw();
     }
 
+    /// Draws a fresh active subset: a partial Fisher-Yates over candidate
+    /// indices.
     fn redraw(&mut self) {
-        self.active = draw_active(&mut self.rng, self.candidates.len(), self.active_size);
+        let mut indices: Vec<usize> = (0..self.candidates.len()).collect();
+        for i in 0..self.active_size {
+            let j = self.rng.gen_range(i..indices.len());
+            indices.swap(i, j);
+        }
+        indices.truncate(self.active_size);
+        self.active = indices;
     }
 
-    /// The walk body, parameterized over an explicit RNG: replays exactly
-    /// what a freshly constructed pool with the same seed produces (the
-    /// constructor's initial subset draw included), without mutating shared
-    /// state — the requirement for order-independent parallel evaluation.
-    ///
-    /// With `skip_gaps`, epochs whose window falls below the fill floor
-    /// abstain and the cursor advances; such epochs do not advance the
-    /// redraw clock (only voted-on epochs age the active subset, matching
-    /// the stateful walk on clean streams).
-    fn walk_seeded(
-        &self,
-        subwindows: &[RawWindow],
-        min_fill: f64,
-        skip_gaps: bool,
-        rng: &mut SmallRng,
-    ) -> Vec<(Option<bool>, usize)> {
-        // Pass 1: replay the draw/redraw stream and collect each epoch's
-        // window. The redraw clock advances only on epochs whose window
-        // aggregated cleanly — a fact known before scoring — so draws never
-        // depend on scores and scoring can be batched per candidate.
-        let mut active = draw_active(rng, self.candidates.len(), self.active_size);
-        let mut epochs_since_redraw = 0u32;
+    /// Walks a trace on the pool's own switching state, emitting
+    /// `(vote, subwindows_consumed)` pairs up to the last complete epoch.
+    /// The RNG, the active subset and the redraw clock carry over to the
+    /// next call.
+    fn walk(&mut self, subwindows: &[RawWindow]) -> Vec<(Option<bool>, usize)> {
+        // Pass 1: draw the subset/switching stream and collect each epoch's
+        // window. The redraw clock advances on every complete epoch — a
+        // fact known before scoring — so draws never depend on scores and
+        // scoring can be batched per candidate.
         let mut meta: Vec<(usize, bool, usize)> = Vec::new();
         let mut pending: Vec<Vec<RawWindow>> = vec![Vec::new(); self.candidates.len()];
         let mut cursor = 0usize;
         loop {
-            if epochs_since_redraw >= self.redraw_every {
-                active = draw_active(rng, self.candidates.len(), self.active_size);
-                epochs_since_redraw = 0;
+            if self.epochs_since_redraw >= self.redraw_every {
+                self.redraw();
+                self.epochs_since_redraw = 0;
             }
-            let pick = active[rng.gen_range(0..active.len())];
-            let detector = &self.candidates[pick];
-            let per = (detector.spec().period / SUBWINDOW) as usize;
+            let pick = self.active[self.rng.gen_range(0..self.active.len())];
+            let period = self.candidates[pick].spec().period;
+            let per = (period / SUBWINDOW) as usize;
             if cursor + per > subwindows.len() {
                 break;
             }
-            let mut windows = aggregate_with_gaps(
-                &subwindows[cursor..cursor + per],
-                detector.spec().period,
-                min_fill,
-            );
+            let mut windows = aggregate_with_gaps(&subwindows[cursor..cursor + per], period, 1.0);
             if windows.len() != 1 {
-                if !skip_gaps {
-                    break; // truncated tail of a clean stream
-                }
-                meta.push((pick, false, per));
-                cursor += per;
-                continue;
+                break; // truncated tail of a clean stream
             }
-            epochs_since_redraw += 1;
+            self.epochs_since_redraw += 1;
             pending[pick].push(windows.pop().expect("exactly one window"));
             meta.push((pick, true, per));
             cursor += per;
@@ -482,54 +426,18 @@ impl NonStationaryRhmd {
         // Pass 2: batch-score per candidate, reassemble in epoch order.
         batch_walk_votes(&self.candidates, &meta, &pending)
     }
-
-    /// Advances one epoch. Outer `None` means the stream is exhausted or
-    /// truncated; an inner `None` vote marks an epoch whose features failed
-    /// the sanity check, which is skipped rather than terminating the walk.
-    fn step(&mut self, subwindows: &[RawWindow], cursor: usize) -> Option<(Option<bool>, usize)> {
-        if self.epochs_since_redraw >= self.redraw_every {
-            self.redraw();
-            self.epochs_since_redraw = 0;
-        }
-        let pick = self.active[self.rng.gen_range(0..self.active.len())];
-        let detector = &self.candidates[pick];
-        let per = (detector.spec().period / SUBWINDOW) as usize;
-        if cursor + per > subwindows.len() {
-            return None;
-        }
-        let windows =
-            aggregate_with_gaps(&subwindows[cursor..cursor + per], detector.spec().period, 1.0);
-        if windows.len() != 1 {
-            return None; // truncated tail of a clean stream
-        }
-        self.epochs_since_redraw += 1;
-        Some((detector.classify_window_checked(&windows[0]), per))
-    }
 }
 
 impl BlackBox for NonStationaryRhmd {
     fn label_subwindows(&mut self, subwindows: &[RawWindow]) -> Vec<bool> {
-        let mut out = Vec::with_capacity(subwindows.len());
-        let mut cursor = 0usize;
-        while let Some((vote, per)) = self.step(subwindows, cursor) {
-            if let Some(decision) = vote {
-                out.extend(std::iter::repeat_n(decision, per));
-            }
-            cursor += per;
-        }
-        out
+        expand_votes(self.walk(subwindows), subwindows.len())
     }
 
     fn decisions(&mut self, subwindows: &[RawWindow]) -> Vec<bool> {
-        let mut out = Vec::new();
-        let mut cursor = 0usize;
-        while let Some((vote, per)) = self.step(subwindows, cursor) {
-            if let Some(decision) = vote {
-                out.push(decision);
-            }
-            cursor += per;
-        }
-        out
+        self.walk(subwindows)
+            .into_iter()
+            .filter_map(|(d, _)| d)
+            .collect()
     }
 
     fn describe(&self) -> String {
@@ -542,43 +450,16 @@ impl BlackBox for NonStationaryRhmd {
     }
 }
 
-impl Detector for NonStationaryRhmd {
-    fn name(&self) -> String {
-        self.describe()
-    }
-
-    /// Seeded replay of the full walk, re-drawing the active subset from
-    /// the caller's `rng` exactly as a freshly constructed pool would.
-    fn label_stream(&self, subwindows: &[RawWindow], rng: &mut StreamRng) -> Vec<bool> {
-        let mut out = Vec::with_capacity(subwindows.len());
-        for (vote, per) in self.walk_seeded(subwindows, 1.0, false, rng.small()) {
-            if let Some(decision) = vote {
-                out.extend(std::iter::repeat_n(decision, per));
-            }
+/// Replicates each epoch's vote across the subwindows it consumed;
+/// abstaining epochs contribute nothing.
+fn expand_votes(walk: Vec<(Option<bool>, usize)>, capacity: usize) -> Vec<bool> {
+    let mut out = Vec::with_capacity(capacity);
+    for (vote, per) in walk {
+        if let Some(decision) = vote {
+            out.extend(std::iter::repeat_n(decision, per));
         }
-        out
     }
-
-    fn epoch_decisions(&self, subwindows: &[RawWindow], rng: &mut StreamRng) -> Vec<bool> {
-        self.walk_seeded(subwindows, 1.0, false, rng.small())
-            .into_iter()
-            .filter_map(|(d, _)| d)
-            .collect()
-    }
-
-    fn quorum(
-        &self,
-        subwindows: &[RawWindow],
-        min_fill: f64,
-        rng: &mut StreamRng,
-    ) -> QuorumVerdict {
-        let votes: Vec<Option<bool>> = self
-            .walk_seeded(subwindows, min_fill, true, rng.small())
-            .into_iter()
-            .map(|(v, _)| v)
-            .collect();
-        QuorumVerdict::from_votes(&votes)
-    }
+    out
 }
 
 /// Scores a drawn epoch stream through each detector's flat batch path and
@@ -609,18 +490,6 @@ fn batch_walk_votes(
             (vote, per)
         })
         .collect()
-}
-
-/// Partial Fisher-Yates over candidate indices: the subset-draw primitive
-/// shared by the stateful pool and the seeded walk.
-fn draw_active(rng: &mut SmallRng, candidates: usize, active_size: usize) -> Vec<usize> {
-    let mut indices: Vec<usize> = (0..candidates).collect();
-    for i in 0..active_size {
-        let j = rng.gen_range(i..indices.len());
-        indices.swap(i, j);
-    }
-    indices.truncate(active_size);
-    indices
 }
 
 impl fmt::Debug for NonStationaryRhmd {
@@ -705,44 +574,98 @@ mod tests {
     #[test]
     fn seeded_walks_match_fresh_serial_walks() {
         let (traced, splits) = fixture();
-        let mut rhmd = two_detector_pool(&traced, &splits.victim_train, 0x5eed);
-        let subs = traced.subwindows(0);
-        // Seeded with the construction seed, the trait walks replay exactly
-        // what a freshly reset pool produces.
-        rhmd.reset();
-        let serial_labels = rhmd.label_subwindows(subs);
-        rhmd.reset();
-        let serial_decisions = rhmd.decisions(subs);
-        rhmd.reset();
-        let serial_quorum = rhmd.quorum_verdict(subs, 1.0);
-        assert_eq!(
-            rhmd.label_stream(subs, &mut StreamRng::from_seed(0x5eed)),
-            serial_labels
-        );
-        assert_eq!(
-            rhmd.epoch_decisions(subs, &mut StreamRng::from_seed(0x5eed)),
-            serial_decisions
-        );
-        assert_eq!(
-            rhmd.quorum(subs, 1.0, &mut StreamRng::from_seed(0x5eed)),
-            serial_quorum
-        );
-        // And they are order-free: judging another program first changes
-        // nothing, unlike the shared-RNG path.
-        let _ = rhmd.quorum(traced.subwindows(1), 1.0, &mut StreamRng::from_seed(7));
-        assert_eq!(
-            rhmd.quorum(subs, 1.0, &mut StreamRng::from_seed(0x5eed)),
-            serial_quorum
-        );
-        // Repeated seeded calls are pure functions of (subwindows, seed).
-        assert_eq!(
-            rhmd.label_stream(subs, &mut StreamRng::from_seed(1)),
-            rhmd.label_stream(subs, &mut StreamRng::from_seed(1))
-        );
+        let kinds = [FeatureKind::Memory, FeatureKind::Architectural];
+        let detectors: Vec<Hmd> = pool_specs(&kinds, &[5_000, 10_000], &[])
+            .into_iter()
+            .map(|spec| {
+                Hmd::train(
+                    Algorithm::Lr,
+                    spec,
+                    &TrainerConfig::default(),
+                    &traced,
+                    &splits.victim_train,
+                )
+            })
+            .collect();
+        for seed in [1u64, 42, 0x5eed] {
+            let mut rhmd = ResilientHmd::new(detectors.clone(), seed);
+            for i in 0..3 {
+                let subs = traced.subwindows(i);
+                // Seeded with the construction seed, the seeded walks replay
+                // exactly what the pool's own RNG produces after a reset.
+                rhmd.reset();
+                let serial_labels = rhmd.label_subwindows(subs);
+                assert_eq!(
+                    rhmd.label_stream(subs, seed),
+                    serial_labels,
+                    "seed {seed}, program {i}"
+                );
+                rhmd.reset();
+                let votes: Vec<Option<bool>> = ResilientHmd::walk_with(
+                    &rhmd.detectors,
+                    &rhmd.probabilities,
+                    &mut rhmd.rng,
+                    subs,
+                    1.0,
+                    true,
+                )
+                .into_iter()
+                .map(|(v, _)| v)
+                .collect();
+                let serial_quorum = QuorumVerdict::from_votes(&votes);
+                assert_eq!(
+                    rhmd.quorum(subs, 1.0, seed),
+                    serial_quorum,
+                    "seed {seed}, program {i}"
+                );
+                // And they are order-free: judging another program first,
+                // seeded or on the pool's own RNG, changes nothing.
+                let other = traced.subwindows(i + 1);
+                let _ = rhmd.quorum(other, 1.0, 7);
+                let _ = rhmd.label_subwindows(other);
+                assert_eq!(rhmd.label_stream(subs, seed), serial_labels);
+                assert_eq!(rhmd.quorum(subs, 1.0, seed), serial_quorum);
+            }
+        }
+    }
+
+    /// The per-epoch, unbatched walk: one subset check, one draw, one
+    /// aggregation and one inline score per epoch, over the pool's own
+    /// switching state. Returns `(decision, subwindows_consumed)` per
+    /// voting epoch.
+    fn step_walk(pool: &mut NonStationaryRhmd, subwindows: &[RawWindow]) -> Vec<(bool, usize)> {
+        let mut out = Vec::new();
+        let mut cursor = 0usize;
+        loop {
+            if pool.epochs_since_redraw >= pool.redraw_every {
+                pool.redraw();
+                pool.epochs_since_redraw = 0;
+            }
+            let pick = pool.active[pool.rng.gen_range(0..pool.active.len())];
+            let detector = &pool.candidates[pick];
+            let per = (detector.spec().period / SUBWINDOW) as usize;
+            if cursor + per > subwindows.len() {
+                break;
+            }
+            let windows = aggregate_with_gaps(
+                &subwindows[cursor..cursor + per],
+                detector.spec().period,
+                1.0,
+            );
+            if windows.len() != 1 {
+                break;
+            }
+            pool.epochs_since_redraw += 1;
+            if let Some(decision) = detector.classify_window_checked(&windows[0]) {
+                out.push((decision, per));
+            }
+            cursor += per;
+        }
+        out
     }
 
     #[test]
-    fn non_stationary_seeded_walk_matches_fresh_pool() {
+    fn non_stationary_state_carries_across_calls_like_step_walk() {
         let (traced, splits) = fixture();
         let kinds = [FeatureKind::Memory, FeatureKind::Architectural];
         let candidates: Vec<Hmd> = pool_specs(&kinds, &[5_000, 10_000], &[])
@@ -757,21 +680,30 @@ mod tests {
                 )
             })
             .collect();
-        let subs = traced.subwindows(0);
-        for seed in [0u64, 42, 0x5eed] {
-            let mut pool = NonStationaryRhmd::new(candidates.clone(), 2, 2, seed);
-            let stateful = pool.label_subwindows(subs);
-            assert_eq!(
-                pool.label_stream(subs, &mut StreamRng::from_seed(seed)),
-                stateful,
-                "seed {seed}: trait walk diverged from fresh stateful walk"
-            );
-            pool.reset();
-            let decisions = pool.decisions(subs);
-            assert_eq!(
-                pool.epoch_decisions(subs, &mut StreamRng::from_seed(seed)),
-                decisions
-            );
+        for seed in [1u64, 42, 0x5eed] {
+            // No reset anywhere: the active subset, the redraw clock and
+            // the RNG carry from one call (and one program) to the next.
+            let mut pool = NonStationaryRhmd::new(candidates.clone(), 2, 3, seed);
+            let mut oracle = NonStationaryRhmd::new(candidates.clone(), 2, 3, seed);
+            for i in 0..3 {
+                let subs = traced.subwindows(i);
+                let expected: Vec<bool> = step_walk(&mut oracle, subs)
+                    .into_iter()
+                    .flat_map(|(d, per)| std::iter::repeat_n(d, per))
+                    .collect();
+                assert_eq!(
+                    pool.label_subwindows(subs),
+                    expected,
+                    "seed {seed}, program {i}"
+                );
+                let expected: Vec<bool> = step_walk(&mut oracle, subs)
+                    .into_iter()
+                    .map(|(d, _)| d)
+                    .collect();
+                assert_eq!(pool.decisions(subs), expected, "seed {seed}, program {i}");
+                assert_eq!(pool.active(), oracle.active(), "seed {seed}, program {i}");
+                assert_eq!(pool.epochs_since_redraw, oracle.epochs_since_redraw);
+            }
         }
     }
 
@@ -916,7 +848,7 @@ mod tests {
         let drops = FaultModel::new(FaultConfig::dropping(0.3), 0xfa17);
         let dropped = apply_faults(&subs, &drops);
         assert!(dropped.len() < subs.len(), "drops must coalesce reads");
-        let q = rhmd.quorum_verdict(&dropped, 1.0);
+        let q = rhmd.quorum(&dropped, 1.0, rhmd.seed());
         assert!(q.voted > 0, "walk must vote on coalesced windows");
 
         // A lost mid-stream window drags its epoch below the fill floor:
@@ -924,15 +856,12 @@ mod tests {
         let mut corrupted = subs.clone();
         let mid = corrupted.len() / 2;
         corrupted[mid] = rhmd_features::window::RawWindow::default();
-        rhmd.reset();
-        let q = rhmd.quorum_verdict(&corrupted, 1.0);
+        let q = rhmd.quorum(&corrupted, 1.0, rhmd.seed());
         assert!(q.abstained > 0, "garbage windows should force abstentions");
         assert!(q.voted > 0, "walk must continue past corrupted epochs");
 
         // A clean stream matches decisions().
-        rhmd.reset();
-        let clean = rhmd.quorum_verdict(&subs, 1.0);
-        rhmd.reset();
+        let clean = rhmd.quorum(&subs, 1.0, rhmd.seed());
         let plain = rhmd.decisions(&subs);
         assert_eq!(clean.voted, plain.len());
     }

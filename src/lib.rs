@@ -46,7 +46,6 @@ pub use rhmd_uarch as uarch;
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
     pub use rhmd_core::evasion::{evade_corpus, plan_evasion, EvasionConfig, Strategy};
-    pub use rhmd_core::detector::{Detector, StreamRng};
     pub use rhmd_core::hmd::{BlackBox, Hmd, ProgramVerdict};
     pub use rhmd_core::retrain::{evade_retrain_game, GameConfig};
     pub use rhmd_core::reveng;

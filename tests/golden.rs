@@ -17,7 +17,6 @@
 use rhmd_bench::Experiment;
 use rhmd_core::eval::Evaluator;
 use rhmd_runtime::pool::Pool;
-use rhmd_core::detector::{Detector, StreamRng};
 use rhmd_core::hmd::Hmd;
 use rhmd_core::rhmd::{build_pool, pool_specs};
 use rhmd_core::verdict::VerdictPolicy;
@@ -100,9 +99,7 @@ fn compute() -> Golden {
                 &policy,
                 MIN_COVERAGE,
                 |i| FAULT_SEED ^ i as u64,
-                |_, subs| {
-                    Detector::quorum(&rhmd, subs, MIN_FILL, &mut StreamRng::from_seed(rhmd.seed()))
-                },
+                |_, subs| rhmd.quorum(subs, MIN_FILL, rhmd.seed()),
             )
             .sensitivity
     };
