@@ -69,6 +69,7 @@ struct Report {
     kernels: Vec<KernelBench>,
     fused: FusedKernelBench,
     quant_kernels: Vec<QuantKernelBench>,
+    bench_train: TrainBench,
     bench_trace: TraceBench,
     bench_store: StoreBench,
     metrics: MetricsOverhead,
@@ -95,12 +96,20 @@ struct KernelBench {
 const KERNEL_FAMILIES: [Algorithm; 4] =
     [Algorithm::Lr, Algorithm::Nn, Algorithm::Rf, Algorithm::Svm];
 
+/// The Memory@5K window datasets the kernel, quantizer and trainer
+/// benches share: `(victim train, attacker test)`.
+fn memory_5k(exp: &Experiment) -> (Dataset, Dataset) {
+    let spec = exp.spec(FeatureKind::Memory, 5_000);
+    (
+        exp.traced.window_dataset(&exp.splits.victim_train, &spec),
+        exp.traced.window_dataset(&exp.splits.attacker_test, &spec),
+    )
+}
+
 /// Measures per-row vs batched scoring throughput per model family over the
 /// held-out windows, and checks the two paths agree to the last bit.
 fn kernel_benches(exp: &Experiment) -> Vec<KernelBench> {
-    let spec = exp.spec(FeatureKind::Memory, 5_000);
-    let train = exp.traced.window_dataset(&exp.splits.victim_train, &spec);
-    let test = exp.traced.window_dataset(&exp.splits.attacker_test, &spec);
+    let (train, test) = memory_5k(exp);
     let xs = test.matrix();
     let rows = xs.len();
     // Enough repetitions that even the linear kernels run for a measurable
@@ -352,9 +361,7 @@ fn quant_bench(
 /// envelope is the one the resilience experiments lean on).
 fn quant_benches(exp: &Experiment) -> Vec<QuantKernelBench> {
     use rhmd_ml::{QuantBits, QuantConfig, QuantizedLinear, QuantizedMlp};
-    let spec = exp.spec(FeatureKind::Memory, 5_000);
-    let train = exp.traced.window_dataset(&exp.splits.victim_train, &spec);
-    let test = exp.traced.window_dataset(&exp.splits.attacker_test, &spec);
+    let (train, test) = memory_5k(exp);
     let xs = test.matrix();
     let configs = [
         QuantConfig::nearest(QuantBits::Int8),
@@ -375,6 +382,73 @@ fn quant_benches(exp: &Experiment) -> Vec<QuantKernelBench> {
         out.push(quant_bench("NN", config, &nn, &qnn, |x| qnn.score_error_bound(x), xs));
     }
     out
+}
+
+/// The SGD trainers' fit throughput on the Memory@5K victim-train windows,
+/// with the experiments' own trainer configs.
+#[derive(Debug, Serialize)]
+struct TrainBench {
+    rows: usize,
+    dims: usize,
+    /// Whether the crate was compiled with the `simd` cargo feature (the
+    /// trainers have no explicit SIMD path; this records the build).
+    simd_feature_compiled: bool,
+    models: Vec<TrainFit>,
+}
+
+/// One model family's fit cost, best of trials.
+#[derive(Debug, Serialize)]
+struct TrainFit {
+    family: &'static str,
+    epochs: u32,
+    fit_seconds: f64,
+    /// Per-sample SGD steps (`rows × epochs`) per second of fit.
+    sample_steps_per_sec: f64,
+    /// Whether every trial's model serialized identically to the first.
+    bit_identical: bool,
+}
+
+/// Times NN, LR and SVM fits and checks repeated fits agree to the bit.
+fn train_bench(exp: &Experiment) -> TrainBench {
+    use rhmd_ml::{LinearSvm, LogisticRegression, Mlp};
+    const TRIALS: usize = 3;
+    fn time_fit<M: Serialize>(
+        family: &'static str,
+        epochs: u32,
+        rows: usize,
+        fit: impl Fn() -> M,
+    ) -> TrainFit {
+        let mut fit_seconds = f64::INFINITY;
+        let mut first: Option<String> = None;
+        let mut bit_identical = true;
+        for _ in 0..TRIALS {
+            let start = Instant::now();
+            let model = fit();
+            fit_seconds = fit_seconds.min(start.elapsed().as_secs_f64());
+            let json = serde_json::to_string(&model).expect("models serialize");
+            bit_identical &= first.get_or_insert_with(|| json.clone()) == &json;
+        }
+        TrainFit {
+            family,
+            epochs,
+            fit_seconds,
+            sample_steps_per_sec: (rows as f64 * f64::from(epochs)) / fit_seconds.max(1e-12),
+            bit_identical,
+        }
+    }
+    let (train, _) = memory_5k(exp);
+    let rows = train.len();
+    let t = &exp.trainer;
+    TrainBench {
+        rows,
+        dims: train.dims(),
+        simd_feature_compiled: cfg!(feature = "simd"),
+        models: vec![
+            time_fit("NN", t.mlp.epochs, rows, || Mlp::fit(&t.mlp, &train)),
+            time_fit("LR", t.lr.epochs, rows, || LogisticRegression::fit(&t.lr, &train)),
+            time_fit("SVM", t.svm.epochs, rows, || LinearSvm::fit(&t.svm, &train)),
+        ],
+    }
 }
 
 /// The trace-phase hot path: the seed-era two-phase pipeline (per-event
@@ -829,6 +903,21 @@ fn run() -> Result<(), rhmd_core::RhmdError> {
         "a quantized batch sweep diverged from per-row scoring"
     );
 
+    eprintln!("[bench_par] SGD trainers (fit wall clock, repeat-fit identity) ...");
+    let bench_train = train_bench(&exp);
+    for m in &bench_train.models {
+        eprintln!(
+            "[bench_par]   {:>3}: {} rows x {} epochs in {:.3}s ({:.3e} sample-steps/s, \
+             bit_identical={})",
+            m.family, bench_train.rows, m.epochs, m.fit_seconds, m.sample_steps_per_sec,
+            m.bit_identical
+        );
+    }
+    assert!(
+        bench_train.models.iter().all(|m| m.bit_identical),
+        "a repeated fit diverged from the first"
+    );
+
     eprintln!("[bench_par] trace pipeline (two-phase reference vs streaming flat-IR) ...");
     let bench_trace = trace_bench(&exp);
     eprintln!(
@@ -954,6 +1043,7 @@ fn run() -> Result<(), rhmd_core::RhmdError> {
         kernels,
         fused,
         quant_kernels,
+        bench_train,
         bench_trace,
         bench_store,
         metrics: MetricsOverhead {

@@ -468,7 +468,9 @@ pub fn evade_retrain_game_resumable(
         };
         records.push(record);
 
-        // Defender: retrain with the new evasive samples added.
+        // Defender: retrain with the new evasive samples added. After the
+        // final generation no one plays the retrained victim, so skip the
+        // fit; a resume that extends the game refits from `evasive_rows`.
         for subs in &evasive_train {
             for w in rhmd_features::window::aggregate(subs, config.spec.period) {
                 let row = config.spec.project(&w);
@@ -476,12 +478,14 @@ pub fn evade_retrain_game_resumable(
                 evasive_rows.push(row);
             }
         }
-        victim = Hmd::train_on_dataset(
-            config.algorithm,
-            config.spec.clone(),
-            &config.trainer,
-            &training_data,
-        );
+        if generation < config.generations {
+            victim = Hmd::train_on_dataset(
+                config.algorithm,
+                config.spec.clone(),
+                &config.trainer,
+                &training_data,
+            );
+        }
         previous_evasive_test = evasive_test;
 
         let state = GameState {
@@ -660,6 +664,60 @@ mod tests {
                 g.sensitivity_previous_evasive.to_bits()
             );
         }
+    }
+
+    fn record_bits(records: &[GenerationRecord]) -> Vec<[u64; 5]> {
+        records
+            .iter()
+            .map(|r| {
+                [
+                    u64::from(r.generation),
+                    r.specificity.to_bits(),
+                    r.sensitivity_unmodified.to_bits(),
+                    r.sensitivity_current_evasive.to_bits(),
+                    r.sensitivity_previous_evasive.to_bits(),
+                ]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shorter_game_is_a_prefix_of_a_longer_one() {
+        // The last generation skips its (unused) retrain, so a g-generation
+        // game must still replay the first g generations of a longer game
+        // exactly, snapshots included.
+        let (traced, splits, spec) = fixture();
+        let config = GameConfig {
+            algorithm: Algorithm::Nn,
+            spec,
+            surrogate: Algorithm::Lr,
+            payload: 2,
+            generations: 1,
+            trainer: TrainerConfig::default(),
+            seed: 11,
+        };
+        let play = |generations: u32| {
+            let mut states = Vec::new();
+            let records = evade_retrain_game_resumable(
+                &GameConfig { generations, ..config.clone() },
+                &traced,
+                &splits.victim_train,
+                &splits.attacker_train,
+                &splits.attacker_test,
+                None,
+                &mut |state| {
+                    states.push(state.clone());
+                    Ok(())
+                },
+            )
+            .unwrap();
+            (records, states)
+        };
+        let (short, short_states) = play(1);
+        let (long, long_states) = play(3);
+        assert_eq!(long.len(), 3);
+        assert_eq!(record_bits(&short), record_bits(&long[..1]));
+        assert_eq!(short_states[..], long_states[..1]);
     }
 
     #[test]

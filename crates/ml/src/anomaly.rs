@@ -2,7 +2,7 @@
 //! paper's related work discusses (§9.1): model *normal* program behaviour
 //! only, and flag deviations from the baseline execution model.
 
-use crate::metrics::best_accuracy_threshold;
+use crate::metrics::operating_threshold;
 use crate::model::{Classifier, Dataset};
 use serde::{Deserialize, Serialize};
 
@@ -100,10 +100,7 @@ impl GaussianAnomaly {
     pub fn calibrate(&mut self, validation: &Dataset) {
         let mut scores = vec![0.0; validation.len()];
         self.score_batch(validation.matrix(), &mut scores);
-        let (threshold, _) = best_accuracy_threshold(&scores, validation.labels());
-        if threshold.is_finite() {
-            self.threshold = threshold;
-        }
+        self.threshold = operating_threshold(&scores, validation.labels());
     }
 }
 

@@ -2,7 +2,7 @@
 //! paper's §8.2 discussion contrasts with pools of weak detectors.
 
 use crate::matrix::FeatureMatrix;
-use crate::metrics::best_accuracy_threshold;
+use crate::metrics::operating_threshold;
 use crate::model::{Classifier, Dataset};
 use crate::tree::{DecisionTree, TreeConfig};
 use rand::rngs::SmallRng;
@@ -89,8 +89,7 @@ impl RandomForest {
         };
         let mut scores = vec![0.0; data.len()];
         model.score_batch(data.matrix(), &mut scores);
-        let (threshold, _) = best_accuracy_threshold(&scores, data.labels());
-        model.threshold = if threshold.is_finite() { threshold } else { 0.5 };
+        model.threshold = operating_threshold(&scores, data.labels());
         model
     }
 

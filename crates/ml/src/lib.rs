@@ -41,7 +41,9 @@ pub use anomaly::{AnomalyConfig, GaussianAnomaly};
 pub use forest::{ForestConfig, RandomForest};
 pub use linear::{LogisticRegression, LrConfig};
 pub use matrix::FeatureMatrix;
-pub use metrics::{agreement, auc, best_accuracy_threshold, roc_curve, Confusion, RocPoint};
+pub use metrics::{
+    agreement, auc, best_accuracy_threshold, operating_threshold, roc_curve, Confusion, RocPoint,
+};
 pub use mlp::{Mlp, MlpConfig};
 pub use model::{predict_all, score_all, Classifier, Dataset};
 pub use quant::{QuantBits, QuantConfig, QuantizedLinear, QuantizedMlp, Rounding};

@@ -3,7 +3,7 @@
 
 use crate::kernel;
 use crate::matrix::FeatureMatrix;
-use crate::metrics::best_accuracy_threshold;
+use crate::metrics::operating_threshold;
 use crate::model::{Classifier, Dataset};
 use crate::scale::Standardizer;
 use rand::rngs::SmallRng;
@@ -124,8 +124,7 @@ impl LogisticRegression {
         };
         let mut scores = vec![0.0; data.len()];
         model.score_batch(data.matrix(), &mut scores);
-        let (threshold, _) = best_accuracy_threshold(&scores, data.labels());
-        model.threshold = if threshold.is_finite() { threshold } else { 0.5 };
+        model.threshold = operating_threshold(&scores, data.labels());
         model
     }
 
@@ -151,9 +150,9 @@ impl LogisticRegression {
     }
 
     /// Internal parts for post-training quantization:
-    /// `(scaler, weights, bias, threshold)`.
-    pub(crate) fn parts(&self) -> (&Standardizer, &[f64], f64, f64) {
-        (&self.scaler, &self.weights, self.bias, self.threshold)
+    /// `(scaler, weights, bias)`.
+    pub(crate) fn parts(&self) -> (&Standardizer, &[f64], f64) {
+        (&self.scaler, &self.weights, self.bias)
     }
 }
 

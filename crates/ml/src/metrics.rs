@@ -208,6 +208,27 @@ pub fn best_accuracy_threshold(scores: &[f64], labels: &[bool]) -> (f64, f64) {
     best
 }
 
+/// The finite decision threshold a fitted model ships with: the
+/// accuracy-maximizing point of [`best_accuracy_threshold`], except that
+/// the all-benign optimum (its `+∞` sentinel) becomes the next float above
+/// the highest score, so the model still flags nothing and the threshold
+/// still serializes.
+pub fn operating_threshold(scores: &[f64], labels: &[bool]) -> f64 {
+    let (threshold, _) = best_accuracy_threshold(scores, labels);
+    if threshold.is_finite() {
+        threshold
+    } else {
+        // An infinite top score has no finite threshold above it; `MAX`
+        // then flags only the infinite scores.
+        scores
+            .iter()
+            .copied()
+            .fold(f64::NEG_INFINITY, f64::max)
+            .next_up()
+            .min(f64::MAX)
+    }
+}
+
 /// Fraction of identical decisions between two prediction vectors — the
 /// attacker's reverse-engineering success metric (paper Fig 1b).
 ///

@@ -22,7 +22,7 @@
 use crate::kernel;
 use crate::linear::LogisticRegression;
 use crate::matrix::FeatureMatrix;
-use crate::metrics::best_accuracy_threshold;
+use crate::metrics::operating_threshold;
 use crate::mlp::Mlp;
 use crate::model::{Classifier, Dataset};
 use crate::scale::Standardizer;
@@ -301,7 +301,6 @@ impl QuantizedLinear {
         scaler: Standardizer,
         weights: &[f64],
         bias: f64,
-        fallback_threshold: f64,
         sigmoid_output: bool,
         config: QuantConfig,
         calibration: &Dataset,
@@ -315,16 +314,13 @@ impl QuantizedLinear {
             w_scale,
             x_scales,
             bias,
-            threshold: fallback_threshold,
+            threshold: 0.0, // picked on the calibration scores below
             config,
             sigmoid: sigmoid_output,
         };
         let mut scores = vec![0.0; calibration.len()];
         model.score_batch(calibration.matrix(), &mut scores);
-        let (threshold, _) = best_accuracy_threshold(&scores, calibration.labels());
-        if threshold.is_finite() {
-            model.threshold = threshold;
-        }
+        model.threshold = operating_threshold(&scores, calibration.labels());
         model
     }
 
@@ -335,8 +331,8 @@ impl QuantizedLinear {
         config: QuantConfig,
         calibration: &Dataset,
     ) -> QuantizedLinear {
-        let (scaler, weights, bias, threshold) = lr.parts();
-        QuantizedLinear::build(scaler.clone(), weights, bias, threshold, true, config, calibration)
+        let (scaler, weights, bias) = lr.parts();
+        QuantizedLinear::build(scaler.clone(), weights, bias, true, config, calibration)
     }
 
     /// Quantizes a trained linear SVM.
@@ -345,8 +341,8 @@ impl QuantizedLinear {
         config: QuantConfig,
         calibration: &Dataset,
     ) -> QuantizedLinear {
-        let (scaler, weights, bias, threshold) = svm.parts();
-        QuantizedLinear::build(scaler.clone(), weights, bias, threshold, false, config, calibration)
+        let (scaler, weights, bias) = svm.parts();
+        QuantizedLinear::build(scaler.clone(), weights, bias, false, config, calibration)
     }
 
     /// The quantization settings.
@@ -482,7 +478,7 @@ impl QuantizedMlp {
     /// Quantizes a trained MLP, calibrating input scales and the threshold
     /// on `calibration` (normally the training set).
     pub fn from_mlp(nn: &Mlp, config: QuantConfig, calibration: &Dataset) -> QuantizedMlp {
-        let (scaler, w1, b1, w2, b2, threshold) = nn.parts();
+        let (scaler, w1, b1, w2, b2) = nn.parts();
         let qmax = config.bits.qmax();
         let mut q_w1 = Vec::with_capacity(w1.len());
         let mut w1_scales = Vec::with_capacity(w1.len());
@@ -500,15 +496,12 @@ impl QuantizedMlp {
             w2: w2.to_vec(),
             b2,
             x_scales,
-            threshold,
+            threshold: 0.0, // picked on the calibration scores below
             config,
         };
         let mut scores = vec![0.0; calibration.len()];
         model.score_batch(calibration.matrix(), &mut scores);
-        let (new_threshold, _) = best_accuracy_threshold(&scores, calibration.labels());
-        if new_threshold.is_finite() {
-            model.threshold = new_threshold;
-        }
+        model.threshold = operating_threshold(&scores, calibration.labels());
         model
     }
 

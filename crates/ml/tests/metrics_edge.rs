@@ -6,8 +6,11 @@
 
 use rhmd_core::hmd::{ProgramVerdict, QuorumVerdict};
 use rhmd_ml::metrics::{
-    agreement, auc, best_accuracy_threshold, roc_curve, Confusion, RocPoint,
+    agreement, auc, best_accuracy_threshold, operating_threshold, roc_curve, Confusion, RocPoint,
 };
+use rhmd_ml::model::{predict_all, Classifier, Dataset};
+use rhmd_ml::trainer::{train, Algorithm, TrainerConfig};
+use rhmd_ml::{Mlp, QuantBits, QuantConfig, QuantizedLinear, QuantizedMlp};
 
 // ---------------------------------------------------------------- ROC / AUC
 
@@ -100,6 +103,66 @@ fn best_threshold_on_single_class_predicts_that_class() {
     let (t, acc) = best_accuracy_threshold(&[0.2, 0.8], &[true, true]);
     assert_eq!(acc, 1.0);
     assert!(t.is_finite());
+}
+
+#[test]
+fn operating_threshold_flags_nothing_at_the_all_benign_optimum() {
+    let scores = [0.2, 0.8, 0.5];
+    let t = operating_threshold(&scores, &[false, false, false]);
+    assert_eq!(t, 0.8f64.next_up());
+    assert!(scores.iter().all(|&s| s < t));
+    // A finite optimum passes through untouched.
+    let labels = [false, true, false];
+    assert_eq!(operating_threshold(&scores, &labels), best_accuracy_threshold(&scores, &labels).0);
+    // No finite float sits above an infinite score.
+    assert_eq!(operating_threshold(&[f64::INFINITY], &[false]), f64::MAX);
+    assert_eq!(operating_threshold(&[], &[]), 0.0);
+}
+
+/// 500 rows, one of them malware whose features duplicate a benign row's:
+/// no threshold separates the pair, so flagging nothing is the
+/// accuracy-maximizing operating point for every model.
+fn one_malware_in_500() -> Dataset {
+    let mut state = 0x1234_5678_u64;
+    let mut next = || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut data = Dataset::new(2);
+    for _ in 0..499 {
+        data.push(vec![next() * 100.0, next() * 100.0], false);
+    }
+    let twin = data.row(17).to_vec();
+    data.push(twin, true);
+    data
+}
+
+#[test]
+fn fitted_models_at_the_all_benign_optimum_flag_no_training_row() {
+    let data = one_malware_in_500();
+    let config = TrainerConfig::default();
+    for algorithm in [Algorithm::Lr, Algorithm::Svm, Algorithm::Nn, Algorithm::Rf] {
+        let model = train(algorithm, &config, &data);
+        assert!(model.threshold().is_finite(), "{algorithm:?}");
+        let flagged = predict_all(model.as_ref(), &data).iter().filter(|&&p| p).count();
+        assert_eq!(flagged, 0, "{algorithm:?} flags {flagged} of 500 training rows");
+    }
+
+    let nn = Mlp::fit(&config.mlp, &data);
+    let saved: Mlp = serde_json::from_str(&serde_json::to_string(&nn).unwrap()).unwrap();
+    assert_eq!(saved.threshold().to_bits(), nn.threshold().to_bits());
+    assert!(!predict_all(&saved, &data).contains(&true));
+
+    // The quantizers re-pick the threshold on the same calibration rows.
+    let quant = QuantConfig::nearest(QuantBits::Int8);
+    let lr = rhmd_ml::LogisticRegression::fit(&config.lr, &data);
+    let quantized: [Box<dyn Classifier>; 2] = [
+        Box::new(QuantizedLinear::from_lr(&lr, quant, &data)),
+        Box::new(QuantizedMlp::from_mlp(&nn, quant, &data)),
+    ];
+    for q in &quantized {
+        assert!(!predict_all(q.as_ref(), &data).contains(&true), "{}", q.algorithm());
+    }
 }
 
 // ------------------------------------------------------- confusion counts

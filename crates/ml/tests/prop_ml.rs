@@ -2,9 +2,10 @@
 
 use proptest::prelude::*;
 use rhmd_ml::metrics::{agreement, auc, best_accuracy_threshold, roc_curve, Confusion};
-use rhmd_ml::model::Dataset;
+use rhmd_ml::model::{score_all, Classifier, Dataset};
 use rhmd_ml::scale::Standardizer;
 use rhmd_ml::split::stratified_split;
+use rhmd_ml::{LinearSvm, LogisticRegression, LrConfig, Mlp, MlpConfig, SvmConfig};
 
 fn scores_and_labels() -> impl Strategy<Value = (Vec<f64>, Vec<bool>)> {
     prop::collection::vec((-1e3f64..1e3, any::<bool>()), 2..200)
@@ -109,6 +110,137 @@ proptest! {
         for d in 0..3 {
             let mean: f64 = t.rows().iter().map(|r| r[d]).sum::<f64>() / n as f64;
             prop_assert!(mean.abs() < 1e-6, "dim {d} mean {mean}");
+        }
+    }
+}
+
+/// The SGD-trained families whose run-to-run behaviour the trainer
+/// properties pin down.
+#[derive(Debug, Clone, Copy)]
+enum Sgd {
+    Lr,
+    Svm,
+    Nn,
+}
+
+/// What a property needs from one fit.
+struct Fit {
+    /// The serialized model: equal strings mean equal parameter bits.
+    json: String,
+    /// Input-space weights (LR/SVM: weights then bias; NN: the collapsed
+    /// per-input weights).
+    weights: Vec<f64>,
+    threshold: f64,
+    /// Scores on the training rows.
+    scores: Vec<f64>,
+}
+
+impl Sgd {
+    const ALL: [Sgd; 3] = [Sgd::Lr, Sgd::Svm, Sgd::Nn];
+
+    fn fit(self, seed: u64, data: &Dataset) -> Fit {
+        fn finish<M: Classifier + serde::Serialize>(model: M, weights: Vec<f64>, data: &Dataset) -> Fit {
+            Fit {
+                json: serde_json::to_string(&model).unwrap(),
+                weights,
+                threshold: model.threshold(),
+                scores: score_all(&model, data),
+            }
+        }
+        let epochs = 8;
+        match self {
+            Sgd::Lr => {
+                let m = LogisticRegression::fit(&LrConfig { epochs, seed, ..LrConfig::default() }, data);
+                let (mut w, b) = m.input_space_weights();
+                w.push(b);
+                finish(m, w, data)
+            }
+            Sgd::Svm => {
+                let m = LinearSvm::fit(&SvmConfig { epochs, seed, ..SvmConfig::default() }, data);
+                let (mut w, b) = m.input_space_weights();
+                w.push(b);
+                finish(m, w, data)
+            }
+            Sgd::Nn => {
+                let m = Mlp::fit(&MlpConfig { epochs, seed, ..MlpConfig::default() }, data);
+                let w = m.collapsed_input_weights();
+                finish(m, w, data)
+            }
+        }
+    }
+}
+
+/// Three-feature rows over a wide range, with `positives` malware rows
+/// first; `constant` pins the last column to one value.
+fn trainer_data(rows: Vec<[f64; 3]>, positives: usize, constant: bool) -> Dataset {
+    let mut data = Dataset::new(3);
+    for (i, mut row) in rows.into_iter().enumerate() {
+        if constant {
+            row[2] = 7.5;
+        }
+        data.push(row.to_vec(), i < positives);
+    }
+    data
+}
+
+fn trainer_rows() -> impl Strategy<Value = Vec<[f64; 3]>> {
+    prop::collection::vec((-1e6f64..1e6, -1e6f64..1e6, -1e6f64..1e6), 8..60)
+        .prop_map(|rows| rows.into_iter().map(|(a, b, c)| [a, b, c]).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Same config and data, same bits: nothing but the seed varies a run.
+    #[test]
+    fn sgd_trainers_are_deterministic(
+        rows in trainer_rows(),
+        positives in 1usize..8,
+        seed in any::<u64>(),
+    ) {
+        let data = trainer_data(rows, positives, false);
+        for family in Sgd::ALL {
+            let (a, b) = (family.fit(seed, &data), family.fit(seed, &data));
+            prop_assert_eq!(&a.json, &b.json, "{:?}", family);
+        }
+    }
+
+    /// Changing only the seed (LR/SVM: the shuffle order; NN: the shuffle
+    /// and the initial weights) changes the learned weights.
+    #[test]
+    fn sgd_trainer_weights_depend_on_the_seed(
+        rows in trainer_rows(),
+        positives in 1usize..8,
+        seed in any::<u64>(),
+    ) {
+        let data = trainer_data(rows, positives, false);
+        for family in Sgd::ALL {
+            let a = family.fit(seed, &data).weights;
+            let b = family.fit(seed ^ 0x9e37_79b9, &data).weights;
+            prop_assert!(
+                a.iter().zip(&b).any(|(x, y)| x.to_bits() != y.to_bits()),
+                "{:?}: seeds {} and {} learned the same weights", family, seed, seed ^ 0x9e37_79b9
+            );
+        }
+    }
+
+    /// Weights, thresholds and scores stay finite under extreme class
+    /// imbalance (down to one class) and with a constant feature column.
+    #[test]
+    fn sgd_trainers_stay_finite_on_degenerate_data(
+        rows in trainer_rows(),
+        imbalance in 0usize..4,
+        constant in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let n = rows.len();
+        let positives = [0, 1, n - 1, n][imbalance];
+        let data = trainer_data(rows, positives, constant);
+        for family in Sgd::ALL {
+            let fit = family.fit(seed, &data);
+            prop_assert!(fit.weights.iter().all(|w| w.is_finite()), "{:?}: {:?}", family, fit.weights);
+            prop_assert!(fit.threshold.is_finite(), "{:?}: threshold {}", family, fit.threshold);
+            prop_assert!(fit.scores.iter().all(|s| s.is_finite()), "{:?}", family);
         }
     }
 }
