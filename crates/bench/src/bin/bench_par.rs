@@ -21,7 +21,7 @@ use rhmd_bench::Experiment;
 use rhmd_core::eval::{CacheStats, Evaluator};
 use rhmd_core::hmd::Hmd;
 use rhmd_core::retrain::detection_quality;
-use rhmd_data::{Corpus, CorpusStore, StoreBuilder, TracedCorpus};
+use rhmd_data::{Corpus, CorpusConfig, CorpusStore, StoreBuilder, TracedCorpus};
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
 use rhmd_ml::metrics::auc;
 use rhmd_ml::model::{score_all, Dataset};
@@ -55,6 +55,7 @@ struct Cell {
 /// macro, so the report is a plain derive).
 #[derive(Debug, Serialize)]
 struct Report {
+    provenance: Provenance,
     workload: Workload,
     threads: usize,
     available_parallelism: usize,
@@ -73,6 +74,47 @@ struct Report {
     bench_trace: TraceBench,
     bench_store: StoreBench,
     metrics: MetricsOverhead,
+}
+
+/// What produced the report: the commit, the build and the machine.
+#[derive(Debug, Serialize)]
+struct Provenance {
+    /// The checked-out commit, suffixed `-dirty` when tracked files differ
+    /// from it, or `unknown` outside a git checkout.
+    git_rev: String,
+    /// The cargo features this binary was compiled with.
+    features: Vec<&'static str>,
+    /// The corpus preset (`RHMD_SCALE`), or `custom` if none matches.
+    scale: &'static str,
+    /// Worker threads of the evaluation pool.
+    threads: usize,
+    /// Whether this CPU has AVX2, which the NN trainer (always) and the
+    /// `simd` scoring kernels (when compiled) dispatch on.
+    avx2_detected: bool,
+}
+
+impl Provenance {
+    fn of(exp: &Experiment, pool: Pool) -> Provenance {
+        let git_rev = std::process::Command::new("git")
+            .args(["describe", "--always", "--dirty", "--abbrev=40", "--exclude=*"])
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map(|rev| rev.trim().to_owned())
+            .unwrap_or_else(|| "unknown".to_owned());
+        let scale = ["tiny", "small", "standard", "paper"]
+            .into_iter()
+            .find(|name| CorpusConfig::from_scale_name(name) == Ok(exp.config))
+            .unwrap_or("custom");
+        Provenance {
+            git_rev,
+            features: if cfg!(feature = "simd") { vec!["simd"] } else { Vec::new() },
+            scale,
+            threads: pool.threads(),
+            avx2_detected: rhmd_ml::kernel::simd::avx2_active(),
+        }
+    }
 }
 
 /// One model family's kernel throughput: the same held-out feature matrix
@@ -390,9 +432,12 @@ fn quant_benches(exp: &Experiment) -> Vec<QuantKernelBench> {
 struct TrainBench {
     rows: usize,
     dims: usize,
-    /// Whether the crate was compiled with the `simd` cargo feature (the
-    /// trainers have no explicit SIMD path; this records the build).
+    /// Whether the crate was compiled with the `simd` cargo feature (it
+    /// does not affect the trainers; this records the build).
     simd_feature_compiled: bool,
+    /// Whether the NN fits ran the trainer's AVX2 build; it is picked at
+    /// run time whatever the features.
+    nn_avx2_dispatched: bool,
     models: Vec<TrainFit>,
 }
 
@@ -443,6 +488,7 @@ fn train_bench(exp: &Experiment) -> TrainBench {
         rows,
         dims: train.dims(),
         simd_feature_compiled: cfg!(feature = "simd"),
+        nn_avx2_dispatched: rhmd_ml::kernel::simd::avx2_active(),
         models: vec![
             time_fit("NN", t.mlp.epochs, rows, || Mlp::fit(&t.mlp, &train)),
             time_fit("LR", t.lr.epochs, rows, || LogisticRegression::fit(&t.lr, &train)),
@@ -1020,6 +1066,7 @@ fn run() -> Result<(), rhmd_core::RhmdError> {
 
     let speedup = serial_seconds / parallel_seconds.max(1e-9);
     let report = Report {
+        provenance: Provenance::of(&exp, pool),
         workload: Workload {
             cells,
             algorithms: ALGOS.len(),

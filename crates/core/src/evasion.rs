@@ -302,16 +302,18 @@ pub fn measure_overhead(
     let bounded = ExecLimits::original_instructions(budget);
 
     // Whole-run counters are the sum of the subwindow drains (integer adds).
-    let run = |p: &Program| {
+    // The two runs are independent, each on a fresh core model, so they run
+    // concurrently.
+    let runs = parallel_map(&[program, &modified], |p| {
         let (windows, summary) = collect_subwindows(p, bounded, CoreConfig::default());
         let mut counters = CounterSet::default();
         for w in &windows {
             counters += w.counters;
         }
         (summary, counters)
-    };
-    let (_, base_counters) = run(program);
-    let (summary, mod_counters) = run(&modified);
+    });
+    let [(_, base_counters), (summary, mod_counters)]: [_; 2] =
+        runs.try_into().expect("one run per program");
     OverheadReport {
         static_overhead: static_overhead.ratio(),
         dynamic_overhead: summary.dynamic_overhead(),

@@ -106,6 +106,39 @@ type Layers = (Vec<Vec<f64>>, Vec<f64>, Vec<f64>, f64);
 
 /// Per-sample SGD with momentum over already-standardized rows.
 ///
+/// Runs [`train_portable`] built for AVX2 when the CPU has it, and the
+/// baseline build otherwise. Both builds compile the same source, so their
+/// weights are bit-identical: see `train_avx2`.
+fn train(config: &MlpConfig, scaled: &Dataset) -> Layers {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if kernel::simd::avx2_active() {
+            // SAFETY: AVX2 support was just checked.
+            return unsafe { train_avx2(config, scaled) };
+        }
+    }
+    train_portable(config, scaled)
+}
+
+/// [`train_portable`] compiled with AVX2 enabled, so its element-wise loops
+/// over hidden units run four `f64` lanes wide instead of SSE2's two.
+///
+/// Only `avx2` is enabled, never `fma`, and Rust never contracts a multiply
+/// and an add into one, so every lane performs the same IEEE operations in
+/// the same order as the baseline build; the `sum` reductions stay
+/// sequential. No intrinsics are involved.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 is available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn train_avx2(config: &MlpConfig, scaled: &Dataset) -> Layers {
+    train_portable(config, scaled)
+}
+
+/// The trainer body behind [`train`], inlined into each build of it.
+///
 /// Training runs on flat, input-major copies of the hidden layer:
 /// `w1t[d * hidden + h]` holds `w1[h][d]`, with a momentum buffer of the
 /// same shape. The forward pass sweeps inputs in order and accumulates every
@@ -114,7 +147,8 @@ type Layers = (Vec<Vec<f64>>, Vec<f64>, Vec<f64>, f64);
 /// its inputs in input order and no reduction is reordered, so the weights
 /// are bit-identical to a per-unit nested loop; the nested `w1` is rebuilt
 /// once after the last epoch.
-fn train(config: &MlpConfig, scaled: &Dataset) -> Layers {
+#[inline(always)]
+fn train_portable(config: &MlpConfig, scaled: &Dataset) -> Layers {
     let dims = scaled.dims();
     let hidden = config.hidden.unwrap_or(dims).max(2);
     let (wt_pos, wt_neg) = class_weights(config, scaled);
@@ -401,9 +435,11 @@ mod tests {
         (w1, b1, w2, b2)
     }
 
+    type Trainer = fn(&MlpConfig, &Dataset) -> Layers;
+
     /// `Mlp::fit` with the SGD step and the standardizer swapped in.
     fn fit_with(
-        train: fn(&MlpConfig, &Dataset) -> Layers,
+        train: Trainer,
         scaler: Standardizer,
         config: &MlpConfig,
         data: &Dataset,
@@ -466,6 +502,9 @@ mod tests {
         d
     }
 
+    /// Every build of the flat trainer this CPU can run equals the nested
+    /// oracle bit for bit, and the dispatching `train` equals the portable
+    /// build.
     #[test]
     fn flat_trainer_matches_nested_oracle_bit_for_bit() {
         let shapes = [Shape::Balanced, Shape::OneMalware, Shape::ConstantColumn, Shape::Clamped];
@@ -481,23 +520,28 @@ mod tests {
                             seed: dims as u64 ^ 0x5eed,
                             ..MlpConfig::default()
                         };
-                        let (flat, nested) = match shape {
-                            Shape::Clamped => {
-                                let identity = Standardizer::identity(dims);
-                                (
-                                    fit_with(train, identity.clone(), &config, &data),
-                                    fit_with(train_nested, identity, &config, &data),
-                                )
-                            }
-                            _ => (
-                                Mlp::fit(&config, &data),
-                                fit_with(train_nested, Standardizer::fit(&data), &config, &data),
-                            ),
-                        };
                         let case = format!(
                             "dims {dims}, hidden {hidden:?}, balance {balance_classes}, {shape:?}"
                         );
-                        assert_bit_identical(&flat, &nested, &case);
+                        let scaler = match shape {
+                            Shape::Clamped => Standardizer::identity(dims),
+                            _ => Standardizer::fit(&data),
+                        };
+                        let fit = |train: Trainer| fit_with(train, scaler.clone(), &config, &data);
+                        let nested = fit(train_nested);
+                        let portable = fit(train_portable);
+                        assert_bit_identical(&portable, &nested, &format!("portable, {case}"));
+                        #[cfg(target_arch = "x86_64")]
+                        if kernel::simd::avx2_active() {
+                            // SAFETY: AVX2 support was just checked.
+                            let avx2 = fit(|c, d| unsafe { train_avx2(c, d) });
+                            assert_bit_identical(&avx2, &nested, &format!("avx2, {case}"));
+                        }
+                        assert_bit_identical(&fit(train), &portable, &format!("dispatch, {case}"));
+                        if !matches!(shape, Shape::Clamped) {
+                            let fitted = Mlp::fit(&config, &data);
+                            assert_bit_identical(&fitted, &nested, &format!("fit, {case}"));
+                        }
                     }
                 }
             }
