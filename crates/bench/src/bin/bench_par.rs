@@ -17,11 +17,11 @@
 //! additionally export the enabled pass's snapshot. See `--help`.
 
 use rhmd_bench::flags::parse_env_args;
-use rhmd_bench::Experiment;
+use rhmd_bench::{Experiment, Provenance};
 use rhmd_core::eval::{CacheStats, Evaluator};
 use rhmd_core::hmd::Hmd;
 use rhmd_core::retrain::detection_quality;
-use rhmd_data::{Corpus, CorpusConfig, CorpusStore, StoreBuilder, TracedCorpus};
+use rhmd_data::{Corpus, CorpusStore, StoreBuilder, TracedCorpus};
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
 use rhmd_ml::metrics::auc;
 use rhmd_ml::model::{score_all, Dataset};
@@ -74,47 +74,6 @@ struct Report {
     bench_trace: TraceBench,
     bench_store: StoreBench,
     metrics: MetricsOverhead,
-}
-
-/// What produced the report: the commit, the build and the machine.
-#[derive(Debug, Serialize)]
-struct Provenance {
-    /// The checked-out commit, suffixed `-dirty` when tracked files differ
-    /// from it, or `unknown` outside a git checkout.
-    git_rev: String,
-    /// The cargo features this binary was compiled with.
-    features: Vec<&'static str>,
-    /// The corpus preset (`RHMD_SCALE`), or `custom` if none matches.
-    scale: &'static str,
-    /// Worker threads of the evaluation pool.
-    threads: usize,
-    /// Whether this CPU has AVX2, which the NN trainer (always) and the
-    /// `simd` scoring kernels (when compiled) dispatch on.
-    avx2_detected: bool,
-}
-
-impl Provenance {
-    fn of(exp: &Experiment, pool: Pool) -> Provenance {
-        let git_rev = std::process::Command::new("git")
-            .args(["describe", "--always", "--dirty", "--abbrev=40", "--exclude=*"])
-            .output()
-            .ok()
-            .filter(|out| out.status.success())
-            .and_then(|out| String::from_utf8(out.stdout).ok())
-            .map(|rev| rev.trim().to_owned())
-            .unwrap_or_else(|| "unknown".to_owned());
-        let scale = ["tiny", "small", "standard", "paper"]
-            .into_iter()
-            .find(|name| CorpusConfig::from_scale_name(name) == Ok(exp.config))
-            .unwrap_or("custom");
-        Provenance {
-            git_rev,
-            features: if cfg!(feature = "simd") { vec!["simd"] } else { Vec::new() },
-            scale,
-            threads: pool.threads(),
-            avx2_detected: rhmd_ml::kernel::simd::avx2_active(),
-        }
-    }
 }
 
 /// One model family's kernel throughput: the same held-out feature matrix
@@ -198,7 +157,7 @@ fn kernel_benches(exp: &Experiment) -> Vec<KernelBench> {
         .collect()
 }
 
-/// The fused standardize+dot sweep, scalar vs the feature-dispatched kernel
+/// The fused standardize+dot sweep, scalar vs the run-time-dispatched kernel
 /// (`rhmd_ml::kernel::dot_standardized`), on a synthetic wide matrix whose
 /// values include the adversarial cases the kernels must agree on bit-for-bit
 /// (huge magnitudes past the standardizer clamp, subnormals, NaN/Inf).
@@ -206,8 +165,6 @@ fn kernel_benches(exp: &Experiment) -> Vec<KernelBench> {
 struct FusedKernelBench {
     rows: usize,
     dims: usize,
-    /// Whether the crate was compiled with the `simd` cargo feature.
-    simd_feature_compiled: bool,
     /// Whether AVX2 was detected at runtime, so the vector path actually ran.
     avx2_detected: bool,
     scalar_rows_per_sec: f64,
@@ -219,7 +176,7 @@ struct FusedKernelBench {
 }
 
 /// The floor the SIMD fused sweep must clear over the scalar kernels when
-/// the vector path is compiled in and the CPU supports it.
+/// the CPU supports AVX2.
 const MIN_SIMD_SPEEDUP: f64 = 1.5;
 
 /// A tiny deterministic PRNG for the synthetic kernel workload (the bench
@@ -248,7 +205,7 @@ fn synthetic_value(state: &mut u64) -> f64 {
 }
 
 /// Benchmarks the fused standardize+dot sweep the linear detectors run per
-/// window: scalar reference vs the feature-dispatched kernel.
+/// window: scalar reference vs the run-time-dispatched kernel.
 ///
 /// Bit-identity is checked on an *adversarial* matrix (NaN/Inf, subnormals,
 /// magnitudes past the standardizer clamp) while throughput is timed on a
@@ -325,7 +282,6 @@ fn fused_kernel_bench() -> FusedKernelBench {
     FusedKernelBench {
         rows: ROWS,
         dims: DIMS,
-        simd_feature_compiled: cfg!(feature = "simd"),
         avx2_detected: kernel::simd::avx2_active(),
         scalar_rows_per_sec: scored / scalar_seconds.max(1e-12),
         fused_rows_per_sec: scored / fused_seconds.max(1e-12),
@@ -432,22 +388,22 @@ fn quant_benches(exp: &Experiment) -> Vec<QuantKernelBench> {
 struct TrainBench {
     rows: usize,
     dims: usize,
-    /// Whether the crate was compiled with the `simd` cargo feature (it
-    /// does not affect the trainers; this records the build).
-    simd_feature_compiled: bool,
-    /// Whether the NN fits ran the trainer's AVX2 build; it is picked at
-    /// run time whatever the features.
+    /// Whether the NN fits ran the trainer's AVX2 build (picked at run
+    /// time).
     nn_avx2_dispatched: bool,
     models: Vec<TrainFit>,
 }
 
-/// One model family's fit cost, best of trials.
+/// One model family's fit cost over the trials: best, median and worst.
 #[derive(Debug, Serialize)]
 struct TrainFit {
     family: &'static str,
     epochs: u32,
+    /// Best of trials.
     fit_seconds: f64,
-    /// Per-sample SGD steps (`rows × epochs`) per second of fit.
+    fit_seconds_median: f64,
+    fit_seconds_max: f64,
+    /// Per-sample SGD steps (`rows × epochs`) per second of the best fit.
     sample_steps_per_sec: f64,
     /// Whether every trial's model serialized identically to the first.
     bit_identical: bool,
@@ -463,20 +419,24 @@ fn train_bench(exp: &Experiment) -> TrainBench {
         rows: usize,
         fit: impl Fn() -> M,
     ) -> TrainFit {
-        let mut fit_seconds = f64::INFINITY;
+        let mut seconds = Vec::with_capacity(TRIALS);
         let mut first: Option<String> = None;
         let mut bit_identical = true;
         for _ in 0..TRIALS {
             let start = Instant::now();
             let model = fit();
-            fit_seconds = fit_seconds.min(start.elapsed().as_secs_f64());
+            seconds.push(start.elapsed().as_secs_f64());
             let json = serde_json::to_string(&model).expect("models serialize");
             bit_identical &= first.get_or_insert_with(|| json.clone()) == &json;
         }
+        seconds.sort_by(f64::total_cmp);
+        let fit_seconds = seconds[0];
         TrainFit {
             family,
             epochs,
             fit_seconds,
+            fit_seconds_median: seconds[TRIALS / 2],
+            fit_seconds_max: seconds[TRIALS - 1],
             sample_steps_per_sec: (rows as f64 * f64::from(epochs)) / fit_seconds.max(1e-12),
             bit_identical,
         }
@@ -487,7 +447,6 @@ fn train_bench(exp: &Experiment) -> TrainBench {
     TrainBench {
         rows,
         dims: train.dims(),
-        simd_feature_compiled: cfg!(feature = "simd"),
         nn_avx2_dispatched: rhmd_ml::kernel::simd::avx2_active(),
         models: vec![
             time_fit("NN", t.mlp.epochs, rows, || Mlp::fit(&t.mlp, &train)),
@@ -904,20 +863,19 @@ fn run() -> Result<(), rhmd_core::RhmdError> {
     let fused = fused_kernel_bench();
     eprintln!(
         "[bench_par]   {}x{}: scalar {:.3e} rows/s, fused {:.3e} rows/s \
-         ({:.2}x, simd={}, avx2={}, bit_identical={})",
+         ({:.2}x, avx2={}, bit_identical={})",
         fused.rows,
         fused.dims,
         fused.scalar_rows_per_sec,
         fused.fused_rows_per_sec,
         fused.speedup_vs_scalar,
-        fused.simd_feature_compiled,
         fused.avx2_detected,
         fused.bit_identical
     );
     // Exact mode is a pure optimization: the vector kernel replays the
     // scalar summation order, so divergence at any bit is a bug.
     assert!(fused.bit_identical, "SIMD fused sweep diverged from the scalar kernels");
-    if fused.simd_feature_compiled && fused.avx2_detected {
+    if fused.avx2_detected {
         assert!(
             fused.speedup_vs_scalar >= MIN_SIMD_SPEEDUP,
             "SIMD fused sweep speedup {:.2}x is below the {MIN_SIMD_SPEEDUP}x floor",
@@ -953,9 +911,15 @@ fn run() -> Result<(), rhmd_core::RhmdError> {
     let bench_train = train_bench(&exp);
     for m in &bench_train.models {
         eprintln!(
-            "[bench_par]   {:>3}: {} rows x {} epochs in {:.3}s ({:.3e} sample-steps/s, \
-             bit_identical={})",
-            m.family, bench_train.rows, m.epochs, m.fit_seconds, m.sample_steps_per_sec,
+            "[bench_par]   {:>3}: {} rows x {} epochs in {:.3}s (median {:.3}s, max {:.3}s; \
+             {:.3e} sample-steps/s, bit_identical={})",
+            m.family,
+            bench_train.rows,
+            m.epochs,
+            m.fit_seconds,
+            m.fit_seconds_median,
+            m.fit_seconds_max,
+            m.sample_steps_per_sec,
             m.bit_identical
         );
     }
@@ -1066,7 +1030,7 @@ fn run() -> Result<(), rhmd_core::RhmdError> {
 
     let speedup = serial_seconds / parallel_seconds.max(1e-9);
     let report = Report {
-        provenance: Provenance::of(&exp, pool),
+        provenance: Provenance::of(&exp.config, pool.threads()),
         workload: Workload {
             cells,
             algorithms: ALGOS.len(),

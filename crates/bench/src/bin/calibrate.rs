@@ -1,12 +1,12 @@
 //! Quick calibration probe: baseline detector accuracy/AUC per feature.
 
-use rhmd_data::{Corpus, CorpusConfig, Splits, TracedCorpus};
+use rhmd_data::{Corpus, Splits, TracedCorpus};
 use rhmd_features::{select_top_delta_opcodes, FeatureKind, FeatureSpec};
 use rhmd_ml::{auc, best_accuracy_threshold, score_all, train, Algorithm, TrainerConfig};
 use rhmd_uarch::CoreConfig;
 
 fn main() {
-    let config = CorpusConfig::from_env();
+    let config = rhmd_bench::Experiment::config_from_env();
     eprintln!("building corpus: {} programs ...", config.total_programs());
     let t0 = std::time::Instant::now();
     let corpus = Corpus::build(&config);

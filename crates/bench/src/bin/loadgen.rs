@@ -33,7 +33,7 @@
 //! Run `RHMD_SCALE=tiny cargo run --release -p rhmd-bench --bin loadgen`
 //! for a quick pass; see `--help`.
 
-use rhmd_bench::Experiment;
+use rhmd_bench::{Experiment, Provenance};
 use rhmd_core::hmd::Hmd;
 use rhmd_core::RhmdError;
 use rhmd_features::vector::{FeatureKind, FeatureSpec};
@@ -144,8 +144,8 @@ struct ChaosReport {
 /// The full report written to `BENCH_serve.json`.
 #[derive(Debug, Serialize)]
 struct Report {
-    /// Corpus scale in effect (`RHMD_SCALE`).
-    scale: String,
+    /// The commit, corpus scale, engine shards and CPU behind the numbers.
+    provenance: Provenance,
     /// Measured saturation throughput, sessions/second.
     saturation_sps: f64,
     /// Mean subwindow events per replayed session.
@@ -318,10 +318,6 @@ fn train(exp: &Experiment) -> Hmd {
         &exp.traced,
         &exp.splits.victim_train,
     )
-}
-
-fn scale_name() -> String {
-    std::env::var("RHMD_SCALE").unwrap_or_else(|_| "standard".to_owned())
 }
 
 fn shards() -> usize {
@@ -846,7 +842,7 @@ fn in_process(exp: &Experiment, opts: &Options) -> Result<Report, RhmdError> {
     };
 
     Ok(Report {
-        scale: scale_name(),
+        provenance: Provenance::of(&exp.config, n_shards),
         saturation_sps,
         events_per_session: per_session,
         replay_bit_identical: Some(identical),
@@ -1027,7 +1023,8 @@ fn connect_mode(
         elapsed,
     );
     Ok(Report {
-        scale: scale_name(),
+        // The daemon's shards did the work, in another process.
+        provenance: Provenance::of(&exp.config, 0),
         saturation_sps: 0.0,
         events_per_session: mean_events(exp),
         replay_bit_identical: None,

@@ -24,9 +24,20 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Builds the experiment context at the environment-selected scale.
+    /// Builds the experiment context at the environment-selected scale
+    /// (see [`Experiment::config_from_env`]).
     pub fn load() -> Experiment {
-        Experiment::with_config(CorpusConfig::from_env())
+        Experiment::with_config(Experiment::config_from_env())
+    }
+
+    /// The corpus scale `RHMD_SCALE` selects ([`CorpusConfig::standard`]
+    /// when unset). An unknown name is a usage error: it is printed and the
+    /// process exits with status 2 instead of running at the default scale.
+    pub fn config_from_env() -> CorpusConfig {
+        CorpusConfig::from_env().unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
     }
 
     /// Builds the experiment context at an explicit scale.

@@ -12,7 +12,9 @@
 pub mod context;
 pub mod figures;
 pub mod flags;
+pub mod provenance;
 pub mod report;
 
 pub use context::Experiment;
+pub use provenance::Provenance;
 pub use report::Table;

@@ -90,16 +90,35 @@ impl CorpusConfig {
         }
     }
 
+    /// Resolves a `RHMD_SCALE` setting: unset means
+    /// [`CorpusConfig::standard`], anything else must name a preset.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`CorpusConfig::from_scale_name`] message for an unknown
+    /// name, so a typo fails instead of silently running at standard scale.
+    pub fn from_scale_setting(setting: Option<&str>) -> Result<CorpusConfig, String> {
+        setting.map_or(Ok(CorpusConfig::standard()), CorpusConfig::from_scale_name)
+    }
+
     /// Reads `RHMD_SCALE` (`tiny` | `small` | `standard` | `paper`) from the
-    /// environment, defaulting to [`CorpusConfig::standard`] when unset or
-    /// unrecognized.
-    pub fn from_env() -> CorpusConfig {
-        match std::env::var("RHMD_SCALE") {
-            Ok(name) => {
-                CorpusConfig::from_scale_name(&name).unwrap_or_else(|_| CorpusConfig::standard())
-            }
-            Err(_) => CorpusConfig::standard(),
-        }
+    /// environment, defaulting to [`CorpusConfig::standard`] when unset.
+    ///
+    /// # Errors
+    ///
+    /// Fails, naming the variable, when it is set to anything but a preset
+    /// name (see [`CorpusConfig::from_scale_setting`]).
+    pub fn from_env() -> Result<CorpusConfig, String> {
+        let setting = std::env::var_os("RHMD_SCALE").map(|v| v.to_string_lossy().into_owned());
+        CorpusConfig::from_scale_setting(setting.as_deref()).map_err(|e| format!("RHMD_SCALE: {e}"))
+    }
+
+    /// The preset name this config equals, if any (the inverse of
+    /// [`CorpusConfig::from_scale_name`]).
+    pub fn scale_name(&self) -> Option<&'static str> {
+        ["tiny", "small", "standard", "paper"]
+            .into_iter()
+            .find(|name| CorpusConfig::from_scale_name(name).as_ref() == Ok(self))
     }
 
     /// The execution limits implied by the trace budgets.
@@ -153,6 +172,25 @@ mod tests {
         assert_eq!(CorpusConfig::from_scale_name("paper"), Ok(CorpusConfig::paper()));
         let err = CorpusConfig::from_scale_name("galactic").unwrap_err();
         assert!(err.contains("galactic") && err.contains("tiny|small|standard|paper"));
+        for name in ["tiny", "small", "standard", "paper"] {
+            let config = CorpusConfig::from_scale_name(name).unwrap();
+            assert_eq!(config.scale_name(), Some(name));
+        }
+        let custom = CorpusConfig {
+            seed: 1,
+            ..CorpusConfig::tiny()
+        };
+        assert_eq!(custom.scale_name(), None);
+    }
+
+    #[test]
+    fn scale_setting_defaults_when_unset_and_rejects_typos() {
+        assert_eq!(CorpusConfig::from_scale_setting(None), Ok(CorpusConfig::standard()));
+        assert_eq!(CorpusConfig::from_scale_setting(Some("tiny")), Ok(CorpusConfig::tiny()));
+        for typo in ["tinny", "", "Standard"] {
+            let err = CorpusConfig::from_scale_setting(Some(typo)).unwrap_err();
+            assert!(err.contains(&format!("'{typo}'")), "{err}");
+        }
     }
 
     #[test]

@@ -7,19 +7,19 @@
 //! * [`scalar`] — the reference kernels (unrolled over four independent
 //!   accumulators, combined as `((a0 + a1) + (a2 + a3)) + tail`); every
 //!   golden number in the repo was produced by these.
-//! * [`simd`] — explicit AVX2 lanes for the same sweeps. Lane `k`
+//! * explicit AVX2 lanes for the same sweeps (x86-64 only). Lane `k`
 //!   accumulates exactly the elements `i ≡ k (mod 4)` that scalar
 //!   accumulator `a_k` does, every lane operation is the IEEE-identical
 //!   elementwise counterpart of the scalar op (no FMA contraction, no
 //!   reciprocal-multiply — the division stays a division), and the final
 //!   combine extracts the lanes and adds them in the scalar order. The
-//!   SIMD kernels are therefore **bit-identical** to the scalar kernels on
-//!   every input, which `tests/prop_simd.rs` pins differentially.
+//!   lanes are therefore **bit-identical** to the scalar kernels on every
+//!   input, which `tests/prop_simd.rs` pins differentially.
 //!
-//! The crate-level [`dot`] / [`dot_standardized`] entry points dispatch to
-//! [`simd`] when the `simd` cargo feature is enabled and to [`scalar`]
-//! otherwise; both implementations are always compiled so the differential
-//! harness can compare them regardless of the feature set.
+//! The crate-level [`dot`] / [`dot_standardized`] entry points pick the
+//! AVX2 lanes at run time when [`simd::avx2_active`] says the CPU has them
+//! and fall back to [`scalar`] otherwise, so every build runs the same
+//! code and only the machine decides the path.
 
 /// Reference kernels — the exact PR-5 scalar sweeps.
 pub mod scalar {
@@ -96,14 +96,11 @@ pub mod scalar {
 
 pub(crate) use scalar::standardize_one;
 
-/// Explicit-lane kernels with runtime AVX2 dispatch.
-///
-/// On x86-64 with AVX2 these run four `f64` lanes per step; elsewhere (or
-/// without AVX2 at runtime) they fall back to [`scalar`]. Either way the
-/// results are bit-identical to [`scalar`] — the lanes mirror the scalar
-/// accumulators element for element.
+/// Runtime CPU detection behind the AVX2 builds of the scoring kernels
+/// (here) and the NN trainer (`mlp`), plus the explicit-lane kernels
+/// themselves.
 pub mod simd {
-    /// Whether the AVX2 lanes are actually used on this machine.
+    /// Whether this CPU has AVX2, so the vector paths actually run.
     #[inline]
     pub fn avx2_active() -> bool {
         #[cfg(target_arch = "x86_64")]
@@ -116,47 +113,8 @@ pub mod simd {
         }
     }
 
-    /// Dot product; bit-identical to [`super::scalar::dot`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    #[inline]
-    pub fn dot(w: &[f64], x: &[f64]) -> f64 {
-        assert_eq!(w.len(), x.len(), "dot operand length mismatch");
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: AVX2 support was just checked.
-                return unsafe { avx2::dot(w, x) };
-            }
-        }
-        super::scalar::dot(w, x)
-    }
-
-    /// Fused standardize-and-dot; bit-identical to
-    /// [`super::scalar::dot_standardized`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any operand length differs.
-    #[inline]
-    pub fn dot_standardized(w: &[f64], x: &[f64], mean: &[f64], std: &[f64]) -> f64 {
-        assert_eq!(w.len(), x.len(), "dot operand length mismatch");
-        assert_eq!(w.len(), mean.len(), "standardizer length mismatch");
-        assert_eq!(w.len(), std.len(), "standardizer length mismatch");
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: AVX2 support was just checked.
-                return unsafe { avx2::dot_standardized(w, x, mean, std) };
-            }
-        }
-        super::scalar::dot_standardized(w, x, mean, std)
-    }
-
     #[cfg(target_arch = "x86_64")]
-    mod avx2 {
+    pub(super) mod avx2 {
         use crate::scale::Standardizer;
         use std::arch::x86_64::{
             __m256d, _mm256_add_pd, _mm256_and_pd, _mm256_castsi256_pd, _mm256_cmp_pd,
@@ -179,7 +137,7 @@ pub mod simd {
         ///
         /// Caller must ensure AVX2 is available and `w.len() == x.len()`.
         #[target_feature(enable = "avx2")]
-        pub(super) unsafe fn dot(w: &[f64], x: &[f64]) -> f64 {
+        pub(in crate::kernel) unsafe fn dot(w: &[f64], x: &[f64]) -> f64 {
             let n = w.len();
             let split = n - n % 4;
             // SAFETY: every load reads 4 f64s at i..i+4 with i+4 <= split
@@ -214,7 +172,7 @@ pub mod simd {
         /// non-finite inputs to +0.0 — the same +0.0 the scalar branch
         /// returns.
         #[target_feature(enable = "avx2")]
-        pub(super) unsafe fn dot_standardized(
+        pub(in crate::kernel) unsafe fn dot_standardized(
             w: &[f64],
             x: &[f64],
             mean: &[f64],
@@ -255,23 +213,23 @@ pub mod simd {
     }
 }
 
-/// Dot product with four independent accumulators, dispatched to the SIMD
-/// lanes when the `simd` feature is enabled ([`scalar::dot`] otherwise).
-/// Bit-identical either way.
+/// Dot product with four independent accumulators: the AVX2 lanes when the
+/// CPU has them, [`scalar::dot`] otherwise. Bit-identical either way.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 #[inline]
 pub fn dot(w: &[f64], x: &[f64]) -> f64 {
-    #[cfg(feature = "simd")]
+    assert_eq!(w.len(), x.len(), "dot operand length mismatch");
+    #[cfg(target_arch = "x86_64")]
     {
-        simd::dot(w, x)
+        if simd::avx2_active() {
+            // SAFETY: AVX2 support was just checked; lengths are equal.
+            return unsafe { simd::avx2::dot(w, x) };
+        }
     }
-    #[cfg(not(feature = "simd"))]
-    {
-        scalar::dot(w, x)
-    }
+    scalar::dot(w, x)
 }
 
 /// Fused standardize-and-dot: `w · standardize(x)` in one sweep, dispatched
@@ -282,14 +240,17 @@ pub fn dot(w: &[f64], x: &[f64]) -> f64 {
 /// Panics if any operand length differs.
 #[inline]
 pub fn dot_standardized(w: &[f64], x: &[f64], mean: &[f64], std: &[f64]) -> f64 {
-    #[cfg(feature = "simd")]
+    assert_eq!(w.len(), x.len(), "dot operand length mismatch");
+    assert_eq!(w.len(), mean.len(), "standardizer length mismatch");
+    assert_eq!(w.len(), std.len(), "standardizer length mismatch");
+    #[cfg(target_arch = "x86_64")]
     {
-        simd::dot_standardized(w, x, mean, std)
+        if simd::avx2_active() {
+            // SAFETY: AVX2 support was just checked; lengths are equal.
+            return unsafe { simd::avx2::dot_standardized(w, x, mean, std) };
+        }
     }
-    #[cfg(not(feature = "simd"))]
-    {
-        scalar::dot_standardized(w, x, mean, std)
-    }
+    scalar::dot_standardized(w, x, mean, std)
 }
 
 /// Dot product of integer-valued quantized weights against dequantized
@@ -364,7 +325,7 @@ mod tests {
             let x: Vec<f64> = (0..n).map(|i| (i as f64 * 1.31).cos() * 1e3).collect();
             assert_eq!(
                 scalar::dot(&w, &x).to_bits(),
-                simd::dot(&w, &x).to_bits(),
+                dot(&w, &x).to_bits(),
                 "n = {n}"
             );
         }
@@ -393,7 +354,7 @@ mod tests {
         let std: Vec<f64> = (0..x.len()).map(|i| 1e-9 + i as f64).collect();
         assert_eq!(
             scalar::dot_standardized(&w, &x, &mean, &std).to_bits(),
-            simd::dot_standardized(&w, &x, &mean, &std).to_bits()
+            dot_standardized(&w, &x, &mean, &std).to_bits()
         );
     }
 

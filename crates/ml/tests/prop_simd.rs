@@ -1,12 +1,12 @@
-//! Property-based proof of the SIMD-dispatch contract: whatever feature
-//! flags this test compiles under, the dispatched kernels in
-//! [`rhmd_ml::kernel`] are **bit-identical** to the scalar reference on
-//! arbitrary inputs — including NaN/Inf/subnormal values, non-lane-multiple
+//! Property-based proof of the SIMD-dispatch contract: the kernels in
+//! [`rhmd_ml::kernel`], which pick the AVX2 lanes at run time when the CPU
+//! has them, are **bit-identical** to the scalar reference on arbitrary
+//! inputs — including NaN/Inf/subnormal values, non-lane-multiple
 //! dimensionalities, and empty operands — and every classifier family's
 //! batch scoring stays bit-identical to per-row scoring on top of them.
-//! CI runs this suite twice, with `--features simd` and without; the bodies
-//! are identical because the contract is: the feature flag may only change
-//! throughput, never a single bit of output.
+//! On a CPU without AVX2 both sides run the scalar kernels and the
+//! comparison is trivially exact; the lanes may only change throughput,
+//! never a single bit of output.
 
 use proptest::prelude::*;
 use rhmd_ml::kernel;
